@@ -5,11 +5,12 @@ evaluation."""
 
 from .errors import (CheckpointError, ConfigError, ContractError,
                      DimensionError, FedcpcError, ManifestError,
-                     NonFiniteUpdateError, TooShortError)
+                     NonFiniteUpdateError, NonFiniteValueError, TooShortError)
 
 __all__ = [
     "CheckpointError", "ConfigError", "ContractError", "DimensionError",
-    "FedcpcError", "ManifestError", "NonFiniteUpdateError", "TooShortError",
+    "FedcpcError", "ManifestError", "NonFiniteUpdateError", "NonFiniteValueError",
+    "TooShortError",
 ]
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NonFiniteValueError
 
 Array = np.ndarray
 
@@ -35,7 +35,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
-            raise ValueError("tensor entries must be finite (got NaN or Inf)")
+            raise NonFiniteValueError("tensor entries must be finite (got NaN or Inf)")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None

@@ -1,48 +1,52 @@
 """Centralized baseline: all utterances in one pool, globally reshuffled
 each epoch, mixed-speaker batches, a single Adam optimizer.
 
-Shares the model, loss, feature pipeline, metrics format, and checkpoint
-format with the federated arm, so the two are directly comparable.
+It runs as a one-client federation through the federated round loop: the one
+stream holds every epoch's shuffled batches, and each round applies Adam to
+that client's delta, which at client_lr=1 is the batch gradient itself. So
+the two arms share the model, loss, feature pipeline, metrics rows,
+checkpoint cadence and format, and differ only in their data streams and
+optimizer settings.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import model as m
 from .autodiff import gradient
-from .checkpoint import save_checkpoint
 from .errors import ConfigError
-from .federated import MetricsRow, RunResult, batch_mean_loss, deterministic_mode
-from .optim import AdamConfig, AdamState, adam_step
-from .rng import TAG_SHUFFLE, substream
+from .federated import FedConfig, RunResult, batch_mean_loss, run_rounds
+from .optim import AdamConfig
+from .rng import DEFAULT_SEED, TAG_SHUFFLE, substream
+from .silo import ClientStream
+
+# Unused here since the steps run in fedcpc.federated; kept as attributes of
+# this module because perfbench/tracing.py wraps them by name.
+from .checkpoint import save_checkpoint  # noqa: F401
+from .optim import adam_step  # noqa: F401
 
 
 @dataclass(frozen=True)
 class CentralConfig:
     epochs: int = 1
     batch_size: int = 16
-    lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    max_steps: int | None = None
-    seed: int = 42
+    lr: float = 2e-3
+    beta1: float = AdamConfig.beta1
+    beta2: float = AdamConfig.beta2
+    eps: float = AdamConfig.eps
+    max_steps: int = 200
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ConfigError("max_steps must be >= 1 when set")
-
-    def adam_config(self) -> AdamConfig:
-        return AdamConfig(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+        if self.max_steps < 1:
+            raise ConfigError("max_steps must be >= 1")
 
 
 def sgd_reference_step(weights: np.ndarray, batch, lr: float,
@@ -66,54 +70,19 @@ def sgd_reference_step(weights: np.ndarray, batch, lr: float,
 def run_central(records, central: CentralConfig, cpc_config: m.CpcConfig,
                 out_dir=None, base_dir=None,
                 checkpoint_meta: dict[str, str] | None = None) -> RunResult:
-    """Epochs of shuffled fixed-size batches under Adam; one metrics row per
-    optimizer step (the `clients` column is always 1 here)."""
+    """Epochs of shuffled fixed-size batches under Adam, at most max_steps
+    optimizer steps; one metrics row per step (``clients`` is always 1)."""
     records = list(records)
     if not records:
         raise ConfigError("empty corpus")
-    weights = m.flatten(m.init_params(cpc_config, central.seed))
-    adam = AdamState.zeros(weights.size)
-    result = RunResult(weights=weights)
-    total_steps = central.epochs * ((len(records) + central.batch_size - 1) // central.batch_size)
-    if central.max_steps is not None:
-        total_steps = min(total_steps, central.max_steps)
-    ckpt_every = max(1, total_steps // 10)
-    step = 0
-    done = False
+    batches = []
     for epoch in range(central.epochs):
         perm = substream(central.seed, TAG_SHUFFLE, epoch).permutation(len(records))
-        for start in range(0, len(records), central.batch_size):
-            if central.max_steps is not None and step >= central.max_steps:
-                done = True
-                break
-            started = time.monotonic()
-            batch = [records[i] for i in perm[start:start + central.batch_size]]
-            loss, params, usable = batch_mean_loss(weights, batch, cpc_config,
-                                                   central.seed, base_dir)
-            if not usable:
-                continue
-            grads = gradient(loss, params.tensors())
-            g = np.concatenate([gr.ravel() for gr in grads])
-            weights = adam_step(adam, weights, g, central.adam_config())
-            step += 1
-            wall_ms = 0 if deterministic_mode() else int(round(1000 * (time.monotonic() - started)))
-            result.metrics.append(MetricsRow(
-                round=step,
-                clients=1,
-                utterances=len(usable),
-                mean_client_loss=loss.item(),
-                grad_norm=float(np.linalg.norm(g)),
-                wall_ms=wall_ms,
-            ))
-            if out_dir is not None and step % ckpt_every == 0:
-                path = Path(out_dir) / f"step{step:05d}.ckpt"
-                save_checkpoint(path, cpc_config, weights, meta=checkpoint_meta)
-                result.checkpoints.append(str(path))
-        if done:
-            break
-    result.weights = weights
-    if out_dir is not None:
-        path = Path(out_dir) / "final.ckpt"
-        save_checkpoint(path, cpc_config, weights, meta=checkpoint_meta)
-        result.checkpoints.append(str(path))
-    return result
+        batches += [[records[i] for i in perm[start:start + central.batch_size]]
+                    for start in range(0, len(records), central.batch_size)]
+    fed = FedConfig(num_clients=1, clients_per_round=1, local_steps=1, batches_per_step=1,
+                    rounds_max=min(len(batches), central.max_steps), client_lr=1.0,
+                    server_opt="adam", server_lr=central.lr, beta1=central.beta1,
+                    beta2=central.beta2, eps=central.eps, seed=central.seed)
+    return run_rounds([ClientStream(0, batches)], fed, cpc_config, out_dir=out_dir,
+                      base_dir=base_dir, checkpoint_meta=checkpoint_meta)

@@ -42,15 +42,11 @@ def config_from_meta(meta: dict[str, str]) -> CpcConfig:
         key = _CFG_PREFIX + f.name
         if key not in meta:
             raise CheckpointError(f"checkpoint metadata missing {key}")
-        raw = meta[key]
-        if f.type in ("int", int):
-            kwargs[f.name] = int(raw)
-        elif f.type in ("float", float):
-            kwargs[f.name] = float(raw)
-        elif f.type in ("bool", bool):
-            kwargs[f.name] = raw == "True"
-        else:
-            raise CheckpointError(f"unhandled config field type for {f.name}")
+        kind = type(f.default)  # every field is an int or a float
+        try:
+            kwargs[f.name] = kind(meta[key])
+        except ValueError:
+            raise CheckpointError(f"{key}: expected {kind.__name__}, got {meta[key]!r}") from None
     return CpcConfig(**kwargs)
 
 
@@ -98,7 +94,10 @@ def load_checkpoint(path) -> tuple[CpcConfig, np.ndarray, dict[str, str]]:
             meta[key] = value
         elif kind == "param":
             parts = rest.split(" ")
-            declared.append((parts[0], tuple(int(d) for d in parts[1:])))
+            try:
+                declared.append((parts[0], tuple(int(d) for d in parts[1:])))
+            except ValueError:
+                raise CheckpointError(f"{path}: bad param line {line!r}") from None
         else:
             raise CheckpointError(f"{path}: unexpected header line {line!r}")
     config = config_from_meta(meta)

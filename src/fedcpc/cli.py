@@ -21,6 +21,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import central as central_mod
 from . import config as cfg_mod
 from . import federated as fed_mod
@@ -199,7 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # overflow is caught where it matters (Tensor construction, the
+        # server step), so numpy's own warnings would only clutter stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except FedcpcError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -8,20 +8,24 @@ cannot silently fall back to a default. Every key carries a provenance tag:
     desk        scaled down (or invented) to run on a desktop
     plumbing    artifact mechanics with no published counterpart
 
-``scale=paper`` selects the published full-scale preset, which is not
-desktop-feasible and refuses to run unless acknowledge_paper_scale=true.
+The desk value of every ``cpc.``, ``fed.``, ``central.`` and ``probe.`` key
+is the default of the matching dataclass field, read here rather than
+restated. ``scale=paper`` selects the published full-scale preset, which is
+not desktop-feasible and refuses to run unless acknowledge_paper_scale=true.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .central import CentralConfig
 from .errors import ConfigError
-from .federated import FedConfig
+from .federated import SERVER_OPTS, FedConfig
 from .model import CpcConfig
 from .probe import ProbeConfig
+from .rng import DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -33,8 +37,10 @@ class Key:
     choices: tuple[str, ...] | None = None
 
 
+_CPC, _FED, _CENTRAL, _PROBE = CpcConfig(), FedConfig(), CentralConfig(), ProbeConfig()
+
 SCHEMA: dict[str, Key] = {
-    "seed": Key(int, 42, 42, "plumbing"),
+    "seed": Key(int, DEFAULT_SEED, DEFAULT_SEED, "plumbing"),
     "scale": Key(str, "desk", "paper", "plumbing", choices=("desk", "paper")),
     "acknowledge_paper_scale": Key(bool, False, False, "plumbing"),
     "mode": Key(str, "federated", "federated", "plumbing", choices=("federated", "central")),
@@ -44,33 +50,33 @@ SCHEMA: dict[str, Key] = {
     "corpus.utterances": Key(int, 80, 80, "desk"),
     "corpus.style": Key(str, "temporal", "temporal", "desk",
                         choices=("spectral", "temporal")),
-    "cpc.input_dim": Key(int, 768, 768, "published"),
-    "cpc.enc_layers": Key(int, 2, 3, "desk/published"),
-    "cpc.enc_units": Key(int, 64, 512, "desk/published"),
-    "cpc.ctx_layers": Key(int, 1, 6, "desk/published"),
-    "cpc.ctx_units": Key(int, 128, 1024, "desk/published"),
-    "cpc.future_steps": Key(int, 4, 4, "desk"),
-    "cpc.temperature": Key(float, 1.0, 1.0, "desk"),
-    "cpc.num_negatives": Key(int, 7, 7, "desk"),
-    "fed.num_clients": Key(int, 10, 48, "desk/published"),
-    "fed.clients_per_round": Key(int, 4, 48, "desk/published"),
-    "fed.client_batch_size": Key(int, 4, 8, "desk/published"),
-    "fed.local_steps": Key(int, 1, 1, "published"),
-    "fed.batches_per_step": Key(int, 1, 1, "published"),
-    "fed.rounds_max": Key(int, 200, 22000, "desk/published"),
-    "fed.client_lr": Key(float, 1.0, 1.0, "published"),
-    "fed.server_opt": Key(str, "adam", "adam", "published", choices=("adam", "plain")),
-    "fed.server_lr": Key(float, 3e-3, 1e-5, "desk/published"),
-    "fed.beta1": Key(float, 0.9, 0.9, "desk"),
-    "fed.beta2": Key(float, 0.999, 0.999, "desk"),
-    "fed.eps": Key(float, 1e-8, 1e-8, "desk"),
-    "central.epochs": Key(int, 1, 1, "desk"),
-    "central.batch_size": Key(int, 16, 64, "desk/published"),
-    "central.lr": Key(float, 2e-3, 1e-5, "desk/published"),
-    "central.max_steps": Key(int, 200, 130000, "desk/published"),
-    "probe.epochs": Key(int, 300, 300, "desk"),
-    "probe.lr": Key(float, 0.05, 0.05, "desk"),
-    "probe.eval_fraction": Key(float, 0.2, 0.2, "desk"),
+    "cpc.input_dim": Key(int, _CPC.input_dim, 768, "published"),
+    "cpc.enc_layers": Key(int, _CPC.enc_layers, 3, "desk/published"),
+    "cpc.enc_units": Key(int, _CPC.enc_units, 512, "desk/published"),
+    "cpc.ctx_layers": Key(int, _CPC.ctx_layers, 6, "desk/published"),
+    "cpc.ctx_units": Key(int, _CPC.ctx_units, 1024, "desk/published"),
+    "cpc.future_steps": Key(int, _CPC.future_steps, 4, "desk"),
+    "cpc.temperature": Key(float, _CPC.temperature, 1.0, "desk"),
+    "cpc.num_negatives": Key(int, _CPC.num_negatives, 7, "desk"),
+    "fed.num_clients": Key(int, _FED.num_clients, 48, "desk/published"),
+    "fed.clients_per_round": Key(int, _FED.clients_per_round, 48, "desk/published"),
+    "fed.client_batch_size": Key(int, _FED.client_batch_size, 8, "desk/published"),
+    "fed.local_steps": Key(int, _FED.local_steps, 1, "published"),
+    "fed.batches_per_step": Key(int, _FED.batches_per_step, 1, "published"),
+    "fed.rounds_max": Key(int, _FED.rounds_max, 22000, "desk/published"),
+    "fed.client_lr": Key(float, _FED.client_lr, 1.0, "published"),
+    "fed.server_opt": Key(str, _FED.server_opt, "adam", "published", choices=SERVER_OPTS),
+    "fed.server_lr": Key(float, _FED.server_lr, 1e-5, "desk/published"),
+    "fed.beta1": Key(float, _FED.beta1, 0.9, "desk"),
+    "fed.beta2": Key(float, _FED.beta2, 0.999, "desk"),
+    "fed.eps": Key(float, _FED.eps, 1e-8, "desk"),
+    "central.epochs": Key(int, _CENTRAL.epochs, 1, "desk"),
+    "central.batch_size": Key(int, _CENTRAL.batch_size, 64, "desk/published"),
+    "central.lr": Key(float, _CENTRAL.lr, 1e-5, "desk/published"),
+    "central.max_steps": Key(int, _CENTRAL.max_steps, 130000, "desk/published"),
+    "probe.epochs": Key(int, _PROBE.epochs, 300, "desk"),
+    "probe.lr": Key(float, _PROBE.lr, 0.05, "desk"),
+    "probe.eval_fraction": Key(float, _PROBE.eval_fraction, 0.2, "desk"),
 }
 
 
@@ -88,9 +94,12 @@ def _parse_value(key: str, raw: str) -> object:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
     if spec.type is float:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+        return value
     if spec.choices is not None and raw not in spec.choices:
         raise ConfigError(f"{key}: expected one of {spec.choices}, got {raw!r}")
     return raw
@@ -126,6 +135,8 @@ def parse_config(text: str, base: dict[str, object] | None = None) -> dict[str, 
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         cfg[key] = _parse_value(key, raw)
+    if cfg["workers"] < 1:
+        raise ConfigError(f"workers: expected at least 1, got {cfg['workers']}")
     if cfg["scale"] == "paper":
         # overlay published values for anything the file left at desk default
         explicit = _explicit_keys(text)
@@ -197,11 +208,10 @@ def cpc_config(cfg: dict[str, object]) -> CpcConfig:
         future_steps=cfg["cpc.future_steps"],
         temperature=cfg["cpc.temperature"],
         num_negatives=cfg["cpc.num_negatives"],
-        desk_scale_preset=cfg["scale"] == "desk",
     )
 
 
-def fed_config(cfg: dict[str, object], server_opt: str | None = None) -> FedConfig:
+def fed_config(cfg: dict[str, object]) -> FedConfig:
     return FedConfig(
         num_clients=cfg["fed.num_clients"],
         clients_per_round=cfg["fed.clients_per_round"],
@@ -210,7 +220,7 @@ def fed_config(cfg: dict[str, object], server_opt: str | None = None) -> FedConf
         batches_per_step=cfg["fed.batches_per_step"],
         rounds_max=cfg["fed.rounds_max"],
         client_lr=cfg["fed.client_lr"],
-        server_opt=server_opt if server_opt is not None else cfg["fed.server_opt"],
+        server_opt=cfg["fed.server_opt"],
         server_lr=cfg["fed.server_lr"],
         beta1=cfg["fed.beta1"],
         beta2=cfg["fed.beta2"],

@@ -38,3 +38,7 @@ class CheckpointError(FedcpcError):
 
 class NonFiniteUpdateError(FedcpcError):
     """A server round produced non-finite values and was rejected."""
+
+
+class NonFiniteValueError(FedcpcError, ValueError):
+    """A tensor was built from NaN or Inf entries, e.g. by a diverging run."""

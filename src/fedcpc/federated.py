@@ -1,15 +1,17 @@
 """Federated pre-training: select clients, run local updates, aggregate by
 sample count, apply the server optimizer, repeat until the data is spent.
 
-One round with local_steps=1 and batches_per_step=1 is plain FedSGD: every
-selected client takes a single SGD step from the broadcast weights on one
-speaker-pure batch, and the server combines the results as
+Each selected client trains locally from the broadcast weights w and returns
+its update, delta_k = client_lr * (sum of its local gradients). The server
+averages the updates as
 
-    w_bar = sum_k (n_k / n) * w_k
+    delta_bar = sum_k (n_k / n) * delta_k
 
-where n_k counts the utterances that actually contributed loss terms. The
-server then either adopts w_bar directly (plain mode) or feeds the
-pseudo-gradient w - w_bar to Adam.
+where n_k counts the utterances that actually contributed loss terms, then
+either sets w - delta_bar (plain mode) or feeds delta_bar to Adam as the
+pseudo-gradient. With local_steps=1 and batches_per_step=1 this is plain
+FedSGD. The centralized baseline runs this same round loop with a single
+client whose stream is the pooled, shuffled corpus.
 
 Clients within a round are independent; the thread pool only shortens the
 wall clock. Aggregation always sums in ascending client order, so parallel
@@ -32,7 +34,7 @@ from .checkpoint import save_checkpoint
 from .errors import ConfigError, NonFiniteUpdateError, TooShortError
 from .frontend import features_for_record
 from .optim import AdamConfig, AdamState, adam_step
-from .rng import TAG_ASSIGN, TAG_SELECT, substream, utterance_rng
+from .rng import DEFAULT_SEED, TAG_ASSIGN, TAG_SELECT, substream, utterance_rng
 from .silo import ClientStream, assign_to_clients, partition_by_speaker
 
 SERVER_OPTS = ("adam", "plain")
@@ -53,11 +55,11 @@ class FedConfig:
     rounds_max: int = 200
     client_lr: float = 1.0
     server_opt: str = "adam"
-    server_lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 42
+    server_lr: float = 3e-3
+    beta1: float = AdamConfig.beta1
+    beta2: float = AdamConfig.beta2
+    eps: float = AdamConfig.eps
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.num_clients < 1 or self.clients_per_round < 1:
@@ -79,7 +81,7 @@ class FedConfig:
 
 @dataclass
 class ClientUpdate:
-    weights: np.ndarray
+    delta: np.ndarray
     num_utterances: int
     client_index: int
     round_index: int
@@ -171,77 +173,70 @@ def client_update(weights: np.ndarray, stream: ClientStream, fed: FedConfig,
                   base_dir=None) -> ClientUpdate | None:
     """Local training for one client; None when the stream has nothing left.
 
-    Draws batches_per_step batches (skipping any with no usable utterance),
-    then takes local_steps passes of one SGD step per batch at client_lr.
-    The broadcast ``weights`` array is never modified.
+    Draws batches_per_step batches, then takes local_steps passes of one SGD
+    step per batch at client_lr, and returns the summed step delta (the local
+    weights end at ``weights - delta``). A draw with no usable utterance is
+    dropped and the next one tried. ``weights`` is never modified.
     """
-    batches = []
-    while len(batches) < fed.batches_per_step:
-        batch = stream.next_batch()
-        if batch is None:
-            break
-        batches.append(batch)
-    if not batches:
-        return None
-    local = weights.copy()
-    n_k = 0
-    loss_sum = 0.0
-    first_pass = True
-    for _ in range(fed.local_steps):
-        for batch in batches:
-            loss, params, usable = batch_mean_loss(local, batch, cpc_config,
-                                                   fed.seed, base_dir)
-            if not usable:
-                continue
-            grads = gradient(loss, params.tensors())
-            flat = np.concatenate([g.ravel() for g in grads])
-            local = local - fed.client_lr * flat
-            if first_pass:
-                n_k += len(usable)
-                loss_sum += loss.item() * len(usable)
-        first_pass = False
-    if n_k == 0:
-        # every drawn batch was unusable; let the caller try again while the
-        # stream still has batches
-        return client_update(weights, stream, fed, cpc_config, round_index, base_dir)
-    return ClientUpdate(weights=local, num_utterances=n_k,
-                        client_index=stream.client_index,
-                        round_index=round_index, mean_loss=loss_sum / n_k)
+    while True:
+        batches = [stream.next_batch() for _ in range(fed.batches_per_step)]
+        batches = [b for b in batches if b is not None]
+        if not batches:
+            return None
+        delta = np.zeros(weights.size)
+        first_pass = []  # (usable utterances, loss) per batch
+        for step in range(fed.local_steps):
+            for batch in batches:
+                loss, params, usable = batch_mean_loss(weights - delta, batch, cpc_config,
+                                                       fed.seed, base_dir)
+                if not usable:
+                    continue
+                grads = gradient(loss, params.tensors())
+                delta = delta + fed.client_lr * np.concatenate([g.ravel() for g in grads])
+                if step == 0:
+                    first_pass.append((len(usable), loss.item()))
+        if first_pass:
+            return ClientUpdate(delta=delta, num_utterances=sum(n for n, _ in first_pass),
+                                client_index=stream.client_index, round_index=round_index,
+                                mean_loss=weighted_mean(first_pass))
+
+
+def weighted_mean(pairs):
+    """sum_i (n_i / n) * x_i over (n_i, x_i) pairs, summed in the given order.
+
+    One pair returns its x exactly, so a one-client, one-batch round reports
+    its batch loss and applies its gradient bit for bit.
+    """
+    n = sum(n_i for n_i, _ in pairs)
+    return sum((n_i / n) * x for n_i, x in pairs)
 
 
 def aggregate(updates: list[ClientUpdate]) -> np.ndarray:
-    """Sample-count-weighted average, summed in ascending client order."""
+    """Sample-count-weighted mean delta, summed in ascending client order."""
     if not updates:
         raise ConfigError("nothing to aggregate")
     ordered = sorted(updates, key=lambda u: u.client_index)
-    dim = ordered[0].weights.size
-    if any(u.weights.size != dim for u in ordered):
-        raise ConfigError("client weight vectors disagree in length")
-    n = sum(u.num_utterances for u in ordered)
-    w_bar = np.zeros(dim)
-    for u in ordered:
-        w_bar += (u.num_utterances / n) * u.weights
-    return w_bar
+    if any(u.delta.size != ordered[0].delta.size for u in ordered):
+        raise ConfigError("client deltas disagree in length")
+    return weighted_mean([(u.num_utterances, u.delta) for u in ordered])
 
 
-def server_step(state: ServerState, w_bar: np.ndarray, fed: FedConfig) -> np.ndarray:
-    """Advance the server by one round; returns the pseudo-gradient.
+def server_step(state: ServerState, delta_bar: np.ndarray, fed: FedConfig) -> None:
+    """Advance the server by one round.
 
-    Plain mode adopts w_bar outright; adam mode treats w - w_bar as the
-    gradient. A non-finite pseudo-gradient rejects the round untouched.
+    Plain mode sets w - delta_bar; adam mode treats delta_bar as the gradient.
+    A non-finite delta_bar rejects the round untouched.
     """
-    if w_bar.shape != state.weights.shape:
-        raise ConfigError(f"aggregated weights have shape {w_bar.shape}, "
+    if delta_bar.shape != state.weights.shape:
+        raise ConfigError(f"aggregated delta has shape {delta_bar.shape}, "
                           f"server holds {state.weights.shape}")
-    g = state.weights - w_bar
-    if not np.all(np.isfinite(g)):
+    if not np.all(np.isfinite(delta_bar)):
         raise NonFiniteUpdateError(f"round {state.round_index + 1}: non-finite aggregated update")
     if fed.server_opt == "plain":
-        state.weights = w_bar.copy()
+        state.weights = state.weights - delta_bar
     else:
-        state.weights = adam_step(state.adam, state.weights, g, fed.adam_config())
+        state.weights = adam_step(state.adam, state.weights, delta_bar, fed.adam_config())
     state.round_index += 1
-    return g
 
 
 @dataclass
@@ -260,10 +255,17 @@ def build_streams(records, fed: FedConfig) -> list[ClientStream]:
 def run_federated(records, fed: FedConfig, cpc_config: m.CpcConfig,
                   out_dir=None, workers: int = 1, base_dir=None,
                   checkpoint_meta: dict[str, str] | None = None) -> RunResult:
-    """The full single-pass loop; stops at rounds_max or data exhaustion."""
+    """Federated pre-training over the speaker-siloed client streams."""
+    return run_rounds(build_streams(records, fed), fed, cpc_config, out_dir=out_dir,
+                      workers=workers, base_dir=base_dir, checkpoint_meta=checkpoint_meta)
+
+
+def run_rounds(streams: list[ClientStream], fed: FedConfig, cpc_config: m.CpcConfig,
+               out_dir=None, workers: int = 1, base_dir=None,
+               checkpoint_meta: dict[str, str] | None = None) -> RunResult:
+    """The single-pass round loop; stops at rounds_max or data exhaustion."""
     if deterministic_mode():
         workers = 1
-    streams = build_streams(records, fed)
     state = ServerState.fresh(m.flatten(m.init_params(cpc_config, fed.seed)))
     result = RunResult(weights=state.weights)
     ckpt_every = max(1, fed.rounds_max // 10)
@@ -282,13 +284,11 @@ def run_federated(records, fed: FedConfig, cpc_config: m.CpcConfig,
                 return client_update(broadcast, streams[idx], fed, cpc_config,
                                      round_index=attempt, base_dir=base_dir)
 
-            if pool is not None:
-                updates = [u for u in pool.map(work, chosen) if u is not None]
-            else:
-                updates = [u for u in map(work, chosen) if u is not None]
+            updates = [u for u in (pool.map if pool else map)(work, chosen) if u is not None]
             if not updates:
                 continue
-            g = server_step(state, aggregate(updates), fed)
+            delta_bar = aggregate(updates)
+            server_step(state, delta_bar, fed)
             n_round = sum(u.num_utterances for u in updates)
             state.utterances_seen += n_round
             wall_ms = 0 if deterministic_mode() else int(round(1000 * (time.monotonic() - started)))
@@ -296,8 +296,9 @@ def run_federated(records, fed: FedConfig, cpc_config: m.CpcConfig,
                 round=state.round_index,
                 clients=len(updates),
                 utterances=n_round,
-                mean_client_loss=sum(u.mean_loss * u.num_utterances for u in updates) / n_round,
-                grad_norm=float(np.linalg.norm(g)),
+                mean_client_loss=weighted_mean([(u.num_utterances, u.mean_loss)
+                                                for u in updates]),
+                grad_norm=float(np.linalg.norm(delta_bar)),
                 wall_ms=wall_ms,
             ))
             if out_dir is not None and state.round_index % ckpt_every == 0:

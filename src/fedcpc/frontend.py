@@ -101,7 +101,10 @@ def load_pcm(path, sample_rate_hz: int = SAMPLE_RATE) -> Waveform:
     sidecar = Path(str(path) + ".len")
     if not sidecar.exists():
         raise ManifestError(f"{path}: missing {sidecar.name} sidecar")
-    count = int(sidecar.read_text().strip())
+    try:
+        count = int(sidecar.read_text().strip())
+    except ValueError:
+        raise ManifestError(f"{sidecar}: sample count is not an integer") from None
     if len(blob) != 2 * count:
         raise ManifestError(f"{path}: {len(blob)} bytes but sidecar declares {count} samples")
     samples = np.frombuffer(blob, dtype="<i2").astype(np.float64) / 32768.0

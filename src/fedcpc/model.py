@@ -26,18 +26,18 @@ from .errors import ConfigError, TooShortError
 
 @dataclass(frozen=True)
 class CpcConfig:
-    """Model hyperparameters. ``num_negatives`` is N-1; the candidate set a
-    score competes in has ``num_negatives + 1`` entries."""
+    """Model hyperparameters, defaulting to the desk model. ``num_negatives``
+    is N-1; the candidate set a score competes in has ``num_negatives + 1``
+    entries."""
 
     input_dim: int = 768
-    enc_layers: int = 3
-    enc_units: int = 512
-    ctx_layers: int = 6
-    ctx_units: int = 1024
+    enc_layers: int = 2
+    enc_units: int = 64
+    ctx_layers: int = 1
+    ctx_units: int = 128
     future_steps: int = 4
     temperature: float = 1.0
     num_negatives: int = 7
-    desk_scale_preset: bool = False
 
     def __post_init__(self):
         if min(self.input_dim, self.enc_layers, self.enc_units,
@@ -57,24 +57,6 @@ class CpcConfig:
     def min_frames(self) -> int:
         """Shortest sequence the loss accepts."""
         return max(self.future_steps + 1, self.num_candidates)
-
-
-def desk_config(**overrides) -> CpcConfig:
-    """Small configuration sized for desktop experiments."""
-    base = dict(input_dim=768, enc_layers=2, enc_units=64, ctx_layers=1,
-                ctx_units=128, future_steps=4, temperature=1.0,
-                num_negatives=7, desk_scale_preset=True)
-    base.update(overrides)
-    return CpcConfig(**base)
-
-
-def paper_scale_config(future_steps: int, temperature: float, num_negatives: int) -> CpcConfig:
-    """Full-scale configuration (3x512 encoder, 6x1024 LSTM). The contrastive
-    hyperparameters have no published values and must be given explicitly."""
-    return CpcConfig(input_dim=768, enc_layers=3, enc_units=512, ctx_layers=6,
-                     ctx_units=1024, future_steps=future_steps,
-                     temperature=temperature, num_negatives=num_negatives,
-                     desk_scale_preset=False)
 
 
 @dataclass

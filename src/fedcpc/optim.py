@@ -20,7 +20,7 @@ class AdamState:
 
 @dataclass(frozen=True)
 class AdamConfig:
-    lr: float = 1e-5
+    lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8

@@ -17,7 +17,7 @@ import numpy as np
 from . import model as m
 from .errors import ConfigError
 from .frontend import features_for_record
-from .rng import TAG_PROBE, substream
+from .rng import DEFAULT_SEED, TAG_PROBE, substream
 from .silo import UtteranceRecord
 
 
@@ -26,7 +26,7 @@ class ProbeConfig:
     epochs: int = 300
     lr: float = 0.05
     eval_fraction: float = 0.2
-    seed: int = 42
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.epochs < 1:

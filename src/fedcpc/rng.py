@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+DEFAULT_SEED = 42
+
 # Domain tags. Frozen; changing one changes every run keyed off it.
 TAG_INIT = 1
 TAG_ASSIGN = 2

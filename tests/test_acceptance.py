@@ -43,7 +43,7 @@ def verdict(number: int, name: str, ok: bool, detail: str) -> str:
 
 def test_criterion_1_gradient_fidelity():
     started = time.monotonic()
-    reports = run_gradcheck(m.desk_config(), seed=42)
+    reports = run_gradcheck(m.CpcConfig(), seed=42)
     elapsed = time.monotonic() - started
     worst = max(r.max_rel_err for r in reports)
     groups = len(reports)
@@ -105,7 +105,7 @@ def test_criterion_2_infonce_oracle():
 
 def test_criterion_3_fedsgd_equals_central_sgd():
     started = time.monotonic()
-    cpc = m.desk_config()
+    cpc = m.CpcConfig()
     records = synth_corpus(4, 1, 2, seed=42)
     fed = FedConfig(num_clients=4, clients_per_round=4, client_batch_size=2,
                     local_steps=1, batches_per_step=1, rounds_max=1,

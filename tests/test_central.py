@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from fedcpc import model as m
+from fedcpc.autodiff import gradient
 from fedcpc.central import CentralConfig, run_central, sgd_reference_step
 from fedcpc.checkpoint import file_sha256
 from fedcpc.errors import ConfigError
+from fedcpc.federated import batch_mean_loss
 from fedcpc.frontend import synth_corpus
+from fedcpc.optim import AdamConfig, AdamState, adam_step
+from fedcpc.rng import TAG_SHUFFLE, substream
 
-SMALL = m.desk_config(enc_units=16, ctx_units=16, future_steps=2, num_negatives=3)
+SMALL = m.CpcConfig(enc_units=16, ctx_units=16, future_steps=2, num_negatives=3)
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +28,6 @@ def test_central_config_validation():
         CentralConfig(batch_size=0)
     with pytest.raises(ConfigError):
         CentralConfig(max_steps=0)
-    CentralConfig(max_steps=None)
 
 
 def test_empty_corpus_rejected():
@@ -50,6 +53,24 @@ def test_steps_counted_and_capped(corpus):
     assert [r.round for r in capped.metrics] == [1, 2, 3, 4]
 
 
+def test_first_step_is_adam_on_the_batch_gradient_bitwise(corpus):
+    # the one-client round loop must not perturb the central step: its
+    # first step equals adam_step on the first shuffled batch's gradient,
+    # and its row reports that batch's loss, both bit for bit
+    cfg = CentralConfig(epochs=1, batch_size=5, lr=1e-3, max_steps=1, seed=2)
+    result = run_central(corpus, cfg, SMALL)
+    w0 = m.flatten(m.init_params(SMALL, cfg.seed))
+    perm = substream(cfg.seed, TAG_SHUFFLE, 0).permutation(len(corpus))
+    batch = [corpus[i] for i in perm[:cfg.batch_size]]
+    loss, params, usable = batch_mean_loss(w0, batch, SMALL, cfg.seed)
+    g = np.concatenate([t.ravel() for t in gradient(loss, params.tensors())])
+    want = adam_step(AdamState.zeros(w0.size), w0, g, AdamConfig(lr=cfg.lr))
+    assert np.array_equal(result.weights, want)
+    row = result.metrics[0]
+    assert (row.utterances, row.mean_client_loss) == (len(usable), loss.item())
+    assert row.grad_norm == float(np.linalg.norm(g))
+
+
 def test_same_seed_identical_checkpoints(corpus, tmp_path):
     cfg = CentralConfig(epochs=1, batch_size=4, lr=1e-3, seed=6)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -70,8 +91,6 @@ def test_different_seed_different_weights(corpus):
 def test_shuffle_mixes_speakers(corpus):
     # the per-epoch permutation with this seed must put two speakers into at
     # least one batch: verified on the actual batch layout
-    from fedcpc.rng import TAG_SHUFFLE, substream
-
     seed, batch_size = 6, 4
     perm = substream(seed, TAG_SHUFFLE, 0).permutation(len(corpus))
     mixed = False

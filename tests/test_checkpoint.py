@@ -109,6 +109,21 @@ def test_load_rejects_tampered_param_table(tmp_path):
         ck.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("good, garbled", [
+    (b"param enc.0.W 6 4\n", b"param enc.0.W 6x4\n"),
+    (b"meta cfg.enc_units 4\n", b"meta cfg.enc_units 4x\n"),
+    (b"meta cfg.temperature 0.5\n", b"meta cfg.temperature half\n"),
+], ids=["param-shape", "meta-int", "meta-float"])
+def test_load_rejects_garbled_header(tmp_path, good, garbled):
+    path = tmp_path / "x.ckpt"
+    ck.save_checkpoint(path, cfg(), np.zeros(m.param_count(cfg())))
+    blob = path.read_bytes()
+    assert good in blob
+    path.write_bytes(blob.replace(good, garbled))
+    with pytest.raises(CheckpointError):
+        ck.load_checkpoint(path)
+
+
 def test_config_meta_roundtrip():
     config = cfg()
     assert ck.config_from_meta(ck.config_meta(config)) == config

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: every subcommand run in-process with a scaled-down
 config, checking exit codes, artifacts, and rerun reproducibility."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,27 @@ def test_pretrain_rerun_identical(corpus_dir, tmp_path, cfg_file, monkeypatch):
         assert rc == 0
     assert file_sha256(a / "final.ckpt") == file_sha256(b / "final.ckpt")
     assert (a / "metrics.tsv").read_bytes() == (b / "metrics.tsv").read_bytes()
+
+
+def test_pretrain_diverging_run_is_a_one_line_error(tmp_path, capsys):
+    # client_lr=1e200 under plain averaging blows the weights up within a
+    # couple of rounds; the run must end with a diagnostic, not a traceback
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("corpus.speakers=3\ncorpus.chapters=1\ncorpus.utterances=12\n"
+                   "cpc.enc_units=8\ncpc.ctx_units=8\nfed.num_clients=3\n"
+                   "fed.clients_per_round=3\nfed.rounds_max=3\n"
+                   "fed.client_lr=1e200\nfed.server_opt=plain\n")
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow warnings would add lines
+        rc = cli.main(["pretrain", "--config", str(cfg), "--manifest",
+                       str(corpus / "manifest.tsv"), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------- probe

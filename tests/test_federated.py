@@ -17,7 +17,7 @@ from fedcpc.optim import AdamConfig, AdamState, adam_step
 from fedcpc.rng import substream
 from fedcpc.silo import ClientStream, UtteranceRecord
 
-SMALL = m.desk_config(enc_units=16, ctx_units=16, future_steps=2, num_negatives=3)
+SMALL = m.CpcConfig(enc_units=16, ctx_units=16, future_steps=2, num_negatives=3)
 
 
 @pytest.fixture(scope="module")
@@ -120,17 +120,17 @@ def test_client_update_zero_lr_keeps_weights(corpus):
     weights = m.flatten(m.init_params(SMALL, 1))
     stream = ClientStream(0, [corpus[:2]])
     update = client_update(weights, stream, FedConfig(client_lr=0.0), SMALL, 1)
-    assert np.array_equal(update.weights, weights)
+    assert np.array_equal(update.delta, np.zeros_like(weights))
     assert update.num_utterances == 2
 
 
 def test_client_update_zero_weights_fixed_point(corpus):
     # all-zero weights give zero latents through the ReLU kink, constant
-    # ln(N) loss, and an exactly zero gradient: w_k = w bitwise
+    # ln(N) loss, and an exactly zero gradient: delta_k = 0 bitwise
     weights = np.zeros(m.param_count(SMALL))
     stream = ClientStream(0, [corpus[:2]])
     update = client_update(weights, stream, FedConfig(client_lr=1.0), SMALL, 1)
-    assert np.array_equal(update.weights, weights)
+    assert np.array_equal(update.delta, np.zeros_like(weights))
     assert update.mean_loss == pytest.approx(np.log(SMALL.num_candidates))
 
 
@@ -141,7 +141,7 @@ def test_client_update_matches_reference_step(corpus):
     cfg = FedConfig(client_lr=1.0, seed=17)
     update = client_update(weights, stream, cfg, SMALL, 1)
     want = sgd_reference_step(weights, batch, 1.0, SMALL, seed=17)
-    assert np.max(np.abs(update.weights - want)) < 1e-12
+    assert np.max(np.abs((weights - update.delta) - want)) < 1e-12
     assert np.array_equal(weights, m.flatten(m.init_params(SMALL, 2)))  # input untouched
     assert update.num_utterances == 3
 
@@ -168,6 +168,28 @@ def test_client_update_all_unusable_returns_none():
     assert stream.exhausted
 
 
+def test_client_update_long_unusable_stream_returns_none():
+    # a stream of 1,200 batches too short to fill one frame: the retries
+    # must not nest (a recursive retry overflowed the stack near 1,000)
+    weights = m.flatten(m.init_params(SMALL, 3))
+    stream = ClientStream(0, [[short_record(f"s{i}", samples=560)] for i in range(1200)])
+    assert client_update(weights, stream, FedConfig(), SMALL, 1) is None
+    assert stream.exhausted
+
+
+def test_client_update_delta_sums_local_steps(corpus):
+    # two local steps on one batch: delta is client_lr times the sum of the
+    # gradients at w and at w - client_lr * g(w)
+    weights = m.flatten(m.init_params(SMALL, 4))
+    batch = corpus[:2]
+    cfg = FedConfig(client_lr=0.5, local_steps=2, seed=5)
+    update = client_update(weights, ClientStream(0, [batch]), cfg, SMALL, 1)
+    w1 = sgd_reference_step(weights, batch, 0.5, SMALL, seed=5)
+    w2 = sgd_reference_step(w1, batch, 0.5, SMALL, seed=5)
+    assert np.max(np.abs((weights - update.delta) - w2)) < 1e-12
+    assert update.num_utterances == 2
+
+
 # ------------------------------------------------------------- aggregation
 
 def test_aggregate_identical_inputs_identity():
@@ -188,7 +210,7 @@ def test_aggregate_matches_highprec_oracle():
                for i, n in enumerate(rng.integers(1, 9, size=5))]
     got = aggregate(updates)
     total = sum(u.num_utterances for u in updates)
-    want = sum((np.longdouble(u.num_utterances) / total) * u.weights.astype(np.longdouble)
+    want = sum((np.longdouble(u.num_utterances) / total) * u.delta.astype(np.longdouble)
                for u in updates)
     assert np.max(np.abs(got - want.astype(np.float64))) < 1e-12
 
@@ -216,17 +238,15 @@ def test_aggregate_validation():
 def test_server_step_zero_pseudo_gradient_is_noop():
     w = np.array([1.0, 2.0])
     state = ServerState.fresh(w)
-    g = server_step(state, w.copy(), FedConfig(server_opt="adam", server_lr=0.1))
-    assert np.array_equal(g, np.zeros(2))
+    server_step(state, np.zeros(2), FedConfig(server_opt="adam", server_lr=0.1))
     assert np.array_equal(state.weights, w)
     assert state.round_index == 1
 
 
 def test_server_step_plain_adopts_average_bitwise():
     state = ServerState.fresh(np.array([1.0, 2.0]))
-    w_bar = np.array([0.5, 2.5])
-    server_step(state, w_bar, FedConfig(server_opt="plain"))
-    assert np.array_equal(state.weights, w_bar)
+    server_step(state, np.array([0.5, -0.5]), FedConfig(server_opt="plain"))
+    assert np.array_equal(state.weights, np.array([0.5, 2.5]))
 
 
 def test_server_step_rejects_non_finite():
@@ -249,7 +269,7 @@ def test_server_adam_matches_reference_three_rounds():
     cfg = FedConfig(server_opt="adam", server_lr=1e-3)
     state = ServerState.fresh(w0)
     for g in gs:
-        server_step(state, state.weights - g, cfg)
+        server_step(state, g, cfg)
 
     # independent textbook Adam
     w = w0.copy()

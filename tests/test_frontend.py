@@ -124,6 +124,14 @@ def test_pcm_missing_sidecar(tmp_path):
         fe.load_pcm(path)
 
 
+def test_pcm_garbled_sidecar(tmp_path):
+    path = tmp_path / "clip.pcm"
+    path.write_bytes(b"\x00\x00")
+    (tmp_path / "clip.pcm.len").write_text("abc\n")
+    with pytest.raises(ManifestError):
+        fe.load_pcm(path)
+
+
 def test_pcm_length_mismatch(tmp_path):
     path = tmp_path / "clip.pcm"
     path.write_bytes(b"\x00\x00\x00\x00")

@@ -6,7 +6,7 @@ import numpy as np
 from fedcpc import gradcheck as gc
 from fedcpc import model as m
 
-SMALL = m.desk_config(enc_units=8, ctx_units=8, future_steps=2, num_negatives=3)
+SMALL = m.CpcConfig(enc_units=8, ctx_units=8, future_steps=2, num_negatives=3)
 
 
 def test_all_groups_pass_on_small_model():

@@ -44,7 +44,7 @@ def test_min_frames_covers_horizon_and_candidates():
 
 
 def test_desk_config_shape():
-    cfg = m.desk_config()
+    cfg = m.CpcConfig()
     assert (cfg.enc_layers, cfg.enc_units) == (2, 64)
     assert (cfg.ctx_layers, cfg.ctx_units) == (1, 128)
     assert cfg.future_steps == 4 and cfg.num_candidates == 8
@@ -406,7 +406,7 @@ def test_infonce_gradient_matches_fd_on_head():
 def test_utterance_loss_near_ln_n_at_init():
     # A freshly initialized model is nearly uninformative, so the loss
     # starts within a few percent of ln(num_candidates).
-    cfg = m.desk_config()
+    cfg = m.CpcConfig()
     params = m.init_params(cfg, 42)
     gen = np.random.default_rng(15)
     feats = gen.standard_normal((12, cfg.input_dim))

@@ -9,7 +9,7 @@ from fedcpc import probe as pr
 from fedcpc.errors import ConfigError
 from fedcpc.frontend import features_for_record, synth_corpus
 
-SMALL = m.desk_config(enc_units=16, ctx_units=16, future_steps=2, num_negatives=3)
+SMALL = m.CpcConfig(enc_units=16, ctx_units=16, future_steps=2, num_negatives=3)
 
 
 @pytest.fixture(scope="module")
