@@ -3,9 +3,14 @@
 Design: each primitive op wraps its numpy result in a :class:`Tensor` and, when
 any input requires gradients, records a :class:`TapeNode` linking inputs to
 outputs together with a closure that maps output adjoints to input adjoints.
-:func:`backward` reconstructs the tape for a scalar root (iterative post-order,
-so deep recurrent graphs do not hit the recursion limit) and walks it in
-reverse, visiting each node exactly once.
+:func:`gradient` reconstructs the tape for a scalar loss (iterative
+post-order, so deep recurrent graphs do not hit the recursion limit), walks it
+in reverse visiting each node exactly once, and returns the adjoints of the
+requested tensors. Tensors carry no gradient state, so one call never sees
+another's results.
+
+The ops are the ones the model calls, plus :func:`mul`, which the
+finite-difference tests use to weight op outputs.
 
 Everything is float64. Broadcasting is restricted to scalar-with-tensor; the
 one sanctioned structured broadcast is :func:`add_rowvec` (bias over matrix
@@ -24,13 +29,13 @@ Array = np.ndarray
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient slot.
+    """Dense float64 array, optionally the output of a recorded op.
 
     Non-finite entries are rejected at construction; this is what keeps the
     whole pipeline NaN/Inf-free rather than per-op checks.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -38,7 +43,6 @@ class Tensor:
             raise NonFiniteValueError("tensor entries must be finite (got NaN or Inf)")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
         self.node: TapeNode | None = None
 
     @property
@@ -59,25 +63,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -85,18 +70,18 @@ class Tensor:
 class TapeNode:
     """One recorded primitive: inputs, outputs, and the adjoint closure.
 
-    ``backward`` receives one adjoint array per output (zeros for outputs the
+    ``back`` receives one adjoint array per output (zeros for outputs the
     loss never used) and returns one adjoint array (or None) per input.
     """
 
-    __slots__ = ("op", "inputs", "outputs", "backward")
+    __slots__ = ("op", "inputs", "outputs", "back")
 
     def __init__(self, op: str, inputs: tuple[Tensor, ...], outputs: tuple[Tensor, ...],
-                 backward: Callable[..., tuple[Array | None, ...]]):
+                 back: Callable[..., tuple[Array | None, ...]]):
         self.op = op
         self.inputs = inputs
         self.outputs = outputs
-        self.backward = backward
+        self.back = back
 
 
 class Tape:
@@ -134,34 +119,32 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _record(op: str, inputs: tuple[Tensor, ...], out_data, backward) -> Tensor | tuple[Tensor, ...]:
+def _record(op: str, inputs: tuple[Tensor, ...], out_data, back) -> Tensor | tuple[Tensor, ...]:
     multi = isinstance(out_data, tuple)
     track = any(t.requires_grad for t in inputs)
     outs = tuple(Tensor(d, requires_grad=track) for d in (out_data if multi else (out_data,)))
     if track:
-        node = TapeNode(op, inputs, outs, backward)
+        node = TapeNode(op, inputs, outs, back)
         for o in outs:
             o.node = node
     return outs if multi else outs[0]
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` on every requires_grad tensor reachable from ``loss``.
+def gradient(loss: Tensor, params: Sequence[Tensor]) -> list[Array]:
+    """Gradients of the scalar ``loss`` for ``params``; zeros for params the
+    loss never used.
 
-    Deterministic: the accumulation order is fixed by the tape order. Tensors
-    that never fed into ``loss`` keep ``grad = None``; see :func:`gradient`
-    for the zeros-for-unused convention.
+    Deterministic: the accumulation order is fixed by the tape order.
     """
     if loss.shape != ():
-        raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    tape = Tape.trace(loss)
+        raise ContractError(f"gradient requires a scalar loss, got shape {loss.shape}")
     adjoint: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
-    for node in reversed(tape.nodes):
+    for node in reversed(Tape.trace(loss).nodes):
         out_grads = tuple(
             adjoint[id(o)] if id(o) in adjoint else np.zeros_like(o.data)
             for o in node.outputs
         )
-        in_grads = node.backward(*out_grads)
+        in_grads = node.back(*out_grads)
         for t, g in zip(node.inputs, in_grads):
             if g is None:
                 continue
@@ -169,20 +152,7 @@ def backward(loss: Tensor) -> None:
                 adjoint[id(t)] = adjoint[id(t)] + g
             else:
                 adjoint[id(t)] = g
-    for node in tape.nodes:
-        for t in node.inputs + node.outputs:
-            if t.requires_grad and id(t) in adjoint:
-                t.grad = adjoint[id(t)]
-    if loss.requires_grad:
-        t_grad = adjoint.get(id(loss))
-        if t_grad is not None:
-            loss.grad = t_grad
-
-
-def gradient(loss: Tensor, params: Sequence[Tensor]) -> list[Array]:
-    """Gradients of ``loss`` for ``params``; zeros for params the loss never used."""
-    backward(loss)
-    return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    return [adjoint[id(p)] if id(p) in adjoint else np.zeros_like(p.data) for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +238,6 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", (a,), out, lambda g: (g * mask,))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = _sigmoid(a.data)
-    return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-    return _record("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
-
-
 def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax along the last axis, stable via max subtraction."""
     a = _as_tensor(a)
@@ -304,49 +262,21 @@ def sum_all(a: Tensor) -> Tensor:
     return _record("sum", (a,), out, back)
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    """Row ``i`` of a matrix, as a 1-D tensor."""
+def index(a: Tensor, key) -> Tensor:
+    """``a.data[key]`` for a constant numpy index ``key``: an int, a slice,
+    integer arrays, or a tuple of these.
+
+    The adjoint scatter-adds back into ``a``, so entries gathered more than
+    once accumulate.
+    """
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"row requires a 2-D input, got shape {a.shape}")
-    i = int(i)
 
     def back(g):
         z = np.zeros_like(a.data)
-        z[i] = g
+        np.add.at(z, key, g)
         return (z,)
 
-    return _record("row", (a,), a.data[i].copy(), back)
-
-
-def rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``[start, stop)`` of a matrix."""
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"rows requires a 2-D input, got shape {a.shape}")
-    start, stop = int(start), int(stop)
-
-    def back(g):
-        z = np.zeros_like(a.data)
-        z[start:stop] = g
-        return (z,)
-
-    return _record("rows", (a,), a.data[start:stop].copy(), back)
-
-
-def col(a: Tensor, j: int) -> Tensor:
-    """Column ``j`` of a matrix, as a 1-D tensor."""
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"col requires a 2-D input, got shape {a.shape}")
-    j = int(j)
-
-    def back(g):
-        z = np.zeros_like(a.data)
-        z[:, j] = g
-        return (z,)
-
-    return _record("col", (a,), a.data[:, j].copy(), back)
+    return _record("index", (a,), a.data[key].copy(), back)
 
 
 def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
@@ -382,26 +312,6 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
         return g, g.sum(axis=0)
 
     return _record("add_rowvec", (m, v), out, back)
-
-
-def gather_pairs(s: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tensor:
-    """``out[r, j] = s[row_idx[r, j], col_idx[r]]``; indices are constants.
-
-    Adjoint scatter-adds back into ``s``, so repeated index pairs accumulate.
-    """
-    s = _as_tensor(s)
-    row_idx = np.asarray(row_idx, dtype=np.intp)
-    col_idx = np.asarray(col_idx, dtype=np.intp)
-    if s.ndim != 2 or row_idx.ndim != 2 or col_idx.shape != (row_idx.shape[0],):
-        raise DimensionError("gather_pairs: expected 2-D source, 2-D row indices and matching 1-D column indices")
-    out = s.data[row_idx, col_idx[:, None]]
-
-    def back(g):
-        z = np.zeros_like(s.data)
-        np.add.at(z, (row_idx, col_idx[:, None]), g)
-        return (z,)
-
-    return _record("gather_pairs", (s,), out, back)
 
 
 def _sigmoid(x: Array) -> Array:

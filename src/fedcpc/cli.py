@@ -6,7 +6,7 @@ Subcommands:
     silo       partition a manifest and write the silo report
     pretrain   federated or central pre-training from a manifest
     probe      linear-probe accuracy of a checkpoint (or random init)
-    gradcheck  finite-difference check of the backward pass
+    gradcheck  finite-difference check of the tape gradients
 
 Every artifact embeds the serialized config that produced it; rerunning the
 same config reproduces the artifact. Diagnostics go to stderr; the exit code
@@ -35,16 +35,17 @@ from .frontend import synth_corpus
 from .silo import load_manifest, partition_by_speaker, silo_report, write_manifest
 
 
+# flags that override a config key, by argparse destination
+_FLAG_KEYS = {"seed": "seed", "workers": "workers", "mode": "mode",
+              "server_opt": "fed.server_opt"}
+
+
 def _load_cfg(args) -> dict[str, object]:
-    cfg = cfg_mod.load_config(args.config) if args.config else cfg_mod.desk_preset()
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        cfg["workers"] = args.workers
-    if getattr(args, "mode", None) is not None:
-        cfg["mode"] = args.mode
-    if getattr(args, "server_opt", None) is not None:
-        cfg["fed.server_opt"] = args.server_opt
+    # flags go through the parser as trailing key=value lines, so they are
+    # validated like file values and win over them
+    overrides = [f"{key}={getattr(args, dest)}" for dest, key in _FLAG_KEYS.items()
+                 if getattr(args, dest, None) is not None]
+    cfg = cfg_mod.load_config(args.config, overrides)
     cfg_mod.ensure_runnable(cfg)
     return cfg
 

@@ -16,9 +16,11 @@ not desktop-feasible and refuses to run unless acknowledge_paper_scale=true.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from .central import CentralConfig
 from .errors import ConfigError
@@ -117,13 +119,11 @@ def desk_preset() -> dict[str, object]:
     return {key: spec.desk for key, spec in SCHEMA.items()}
 
 
-def paper_preset() -> dict[str, object]:
-    return {key: spec.paper for key, spec in SCHEMA.items()}
-
-
-def parse_config(text: str, base: dict[str, object] | None = None) -> dict[str, object]:
-    """Parse key=value lines over a preset base (desk by default)."""
-    cfg = dict(base if base is not None else desk_preset())
+def parse_config(text: str) -> dict[str, object]:
+    """Parse key=value lines over the desk preset; a later line for the same
+    key wins."""
+    cfg = desk_preset()
+    explicit = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -135,36 +135,29 @@ def parse_config(text: str, base: dict[str, object] | None = None) -> dict[str, 
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         cfg[key] = _parse_value(key, raw)
+        explicit.add(key)
     if cfg["workers"] < 1:
         raise ConfigError(f"workers: expected at least 1, got {cfg['workers']}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {cfg['seed']}")
     if cfg["scale"] == "paper":
-        # overlay published values for anything the file left at desk default
-        explicit = _explicit_keys(text)
+        # overlay published values for anything the text left at desk default
         for key, spec in SCHEMA.items():
             if key not in explicit:
                 cfg[key] = spec.paper
-        cfg["scale"] = "paper"
     return cfg
 
 
-def _explicit_keys(text: str) -> set[str]:
-    keys = set()
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key = stripped.partition("=")[0].strip()
-        if key in SCHEMA:
-            keys.add(key)
-    return keys
-
-
-def load_config(path) -> dict[str, object]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ConfigError(str(e)) from e
-    return parse_config(text)
+def load_config(path=None, overrides: Sequence[str] = ()) -> dict[str, object]:
+    """Parse the config file at ``path`` (none: desk defaults), then the
+    ``key=value`` lines in ``overrides``, which win over the file."""
+    text = ""
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as e:
+            raise ConfigError(str(e)) from e
+    return parse_config("\n".join([text, *overrides]))
 
 
 def render_config(cfg: dict[str, object], provenance: bool = True) -> str:
@@ -198,54 +191,28 @@ def ensure_runnable(cfg: dict[str, object]) -> None:
             "feasible on a desktop; set acknowledge_paper_scale=true to run anyway")
 
 
+def _from_keys(cls, cfg: dict[str, object], prefix: str, **explicit):
+    """``cls`` built from the ``<prefix>.<field>`` keys that SCHEMA has, plus
+    ``explicit`` fields."""
+    fields = {f.name: cfg[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)
+              if f"{prefix}.{f.name}" in SCHEMA}
+    return cls(**fields, **explicit)
+
+
 def cpc_config(cfg: dict[str, object]) -> CpcConfig:
-    return CpcConfig(
-        input_dim=cfg["cpc.input_dim"],
-        enc_layers=cfg["cpc.enc_layers"],
-        enc_units=cfg["cpc.enc_units"],
-        ctx_layers=cfg["cpc.ctx_layers"],
-        ctx_units=cfg["cpc.ctx_units"],
-        future_steps=cfg["cpc.future_steps"],
-        temperature=cfg["cpc.temperature"],
-        num_negatives=cfg["cpc.num_negatives"],
-    )
+    return _from_keys(CpcConfig, cfg, "cpc")
 
 
 def fed_config(cfg: dict[str, object]) -> FedConfig:
-    return FedConfig(
-        num_clients=cfg["fed.num_clients"],
-        clients_per_round=cfg["fed.clients_per_round"],
-        client_batch_size=cfg["fed.client_batch_size"],
-        local_steps=cfg["fed.local_steps"],
-        batches_per_step=cfg["fed.batches_per_step"],
-        rounds_max=cfg["fed.rounds_max"],
-        client_lr=cfg["fed.client_lr"],
-        server_opt=cfg["fed.server_opt"],
-        server_lr=cfg["fed.server_lr"],
-        beta1=cfg["fed.beta1"],
-        beta2=cfg["fed.beta2"],
-        eps=cfg["fed.eps"],
-        seed=cfg["seed"],
-    )
+    return _from_keys(FedConfig, cfg, "fed", seed=cfg["seed"])
 
 
 def central_config(cfg: dict[str, object]) -> CentralConfig:
-    return CentralConfig(
-        epochs=cfg["central.epochs"],
-        batch_size=cfg["central.batch_size"],
-        lr=cfg["central.lr"],
-        beta1=cfg["fed.beta1"],
-        beta2=cfg["fed.beta2"],
-        eps=cfg["fed.eps"],
-        max_steps=cfg["central.max_steps"],
-        seed=cfg["seed"],
-    )
+    # there are no central.beta* or central.eps keys: the central Adam shares
+    # the server Adam's betas and eps
+    return _from_keys(CentralConfig, cfg, "central", seed=cfg["seed"],
+                      beta1=cfg["fed.beta1"], beta2=cfg["fed.beta2"], eps=cfg["fed.eps"])
 
 
 def probe_config(cfg: dict[str, object]) -> ProbeConfig:
-    return ProbeConfig(
-        epochs=cfg["probe.epochs"],
-        lr=cfg["probe.lr"],
-        eval_fraction=cfg["probe.eval_fraction"],
-        seed=cfg["seed"],
-    )
+    return _from_keys(ProbeConfig, cfg, "probe", seed=cfg["seed"])

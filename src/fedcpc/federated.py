@@ -31,7 +31,7 @@ import numpy as np
 from . import model as m
 from .autodiff import Tensor, gradient, scale
 from .checkpoint import save_checkpoint
-from .errors import ConfigError, NonFiniteUpdateError, TooShortError
+from .errors import ConfigError, NonFiniteUpdateError, NonFiniteValueError, TooShortError
 from .frontend import features_for_record
 from .optim import AdamConfig, AdamState, adam_step
 from .rng import DEFAULT_SEED, TAG_ASSIGN, TAG_SELECT, substream, utterance_rng
@@ -281,8 +281,12 @@ def run_rounds(streams: list[ClientStream], fed: FedConfig, cpc_config: m.CpcCon
             broadcast = state.weights
 
             def work(idx: int) -> ClientUpdate | None:
-                return client_update(broadcast, streams[idx], fed, cpc_config,
-                                     round_index=attempt, base_dir=base_dir)
+                try:
+                    return client_update(broadcast, streams[idx], fed, cpc_config,
+                                         round_index=attempt, base_dir=base_dir)
+                except NonFiniteValueError as e:
+                    raise NonFiniteUpdateError(
+                        f"round {state.round_index + 1}, client {idx}: {e}") from e
 
             updates = [u for u in (pool.map if pool else map)(work, chosen) if u is not None]
             if not updates:

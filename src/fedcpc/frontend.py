@@ -54,7 +54,6 @@ class FeatureSequence:
     """T x 768 feature matrix; one row per 3 stacked STFT frames."""
 
     x: np.ndarray
-    frame_shift_s: float
 
     @property
     def num_frames(self) -> int:
@@ -80,7 +79,7 @@ def stack3(frames: np.ndarray) -> FeatureSequence:
     if rows < 1:
         raise TooShortError(f"{frames.shape[0]} frames cannot fill a 3-frame stack")
     x = frames[:3 * rows].reshape(rows, 3 * N_BINS)
-    return FeatureSequence(x, frame_shift_s=0.030)
+    return FeatureSequence(x)
 
 
 def waveform_features(w: Waveform) -> FeatureSequence:
@@ -176,9 +175,12 @@ def parse_synth_spec(ref: str) -> tuple[str, int, int, int, int, int]:
     if parts[0] not in STYLES:
         raise ManifestError(f"synth spec has unknown style {parts[0]!r}")
     try:
-        return (parts[0], *(int(p) for p in parts[1:]))  # type: ignore[return-value]
+        fields = [int(p) for p in parts[1:]]
     except ValueError:
         raise ManifestError(f"synth spec has non-integer field: {ref!r}") from None
+    if min(fields) < 0:
+        raise ManifestError(f"synth spec has a negative field: {ref!r}")
+    return (parts[0], *fields)  # type: ignore[return-value]
 
 
 def synth_waveform(ref: str) -> Waveform:

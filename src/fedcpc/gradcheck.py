@@ -1,4 +1,4 @@
-"""Finite-difference validation of the backward pass.
+"""Finite-difference validation of the tape gradients.
 
 For each parameter tensor, compare the tape gradient against central
 differences on a sample of coordinates. The error measure is
@@ -59,7 +59,7 @@ def run_gradcheck(config: m.CpcConfig, seed: int, frames: int = 12,
     params = m.init_params(config, seed)
     loss = m.utterance_loss(features, params, config, utterance_rng(seed, "gradcheck"))
     grads = gradient(loss, params.tensors())
-    names = [name for name, _ in params.named()]
+    names = list(params.named)
     weights = m.flatten(params)
     reports = []
     offset = 0

@@ -15,7 +15,8 @@ K, so freshly initialized models start near ln(N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +46,8 @@ class CpcConfig:
             raise ConfigError("all layer counts and widths must be >= 1")
         if self.future_steps < 1:
             raise ConfigError("future_steps must be >= 1")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be > 0")
+        if not 0 < self.temperature < math.inf:  # also rejects NaN
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.num_negatives < 1:
             raise ConfigError("num_negatives must be >= 1")
 
@@ -61,42 +62,51 @@ class CpcConfig:
 
 @dataclass
 class ModelParams:
-    """All trainable weights.
+    """All trainable weights: ``named`` maps each :func:`param_shapes` name
+    to its tensor, in that order.
+
+    The per-layer views group the tensors by name prefix and layer index:
 
     enc:   per layer (W: in x out, b: out)
     ar:    per LSTM layer (wx: in x 4H, wh: H x 4H, b: 4H), gate order i,f,g,o
     heads: per horizon k (W: H x E, b: E), k = 1..future_steps
     """
 
-    enc: list[tuple[Tensor, Tensor]] = field(default_factory=list)
-    ar: list[tuple[Tensor, Tensor, Tensor]] = field(default_factory=list)
-    heads: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    named: dict[str, Tensor]
 
-    def named(self):
-        for i, (w, b) in enumerate(self.enc):
-            yield f"enc.{i}.W", w
-            yield f"enc.{i}.b", b
-        for i, (wx, wh, b) in enumerate(self.ar):
-            yield f"ar.{i}.Wx", wx
-            yield f"ar.{i}.Wh", wh
-            yield f"ar.{i}.b", b
-        for k, (w, b) in enumerate(self.heads, start=1):
-            yield f"head.{k}.W", w
-            yield f"head.{k}.b", b
+    def _layers(self, prefix: str) -> list[tuple[Tensor, ...]]:
+        layers: dict[str, list[Tensor]] = {}
+        for name, t in self.named.items():
+            group, layer, _ = name.split(".")
+            if group == prefix:
+                layers.setdefault(layer, []).append(t)
+        return [tuple(ts) for ts in layers.values()]
+
+    @property
+    def enc(self) -> list[tuple[Tensor, Tensor]]:
+        return self._layers("enc")
+
+    @property
+    def ar(self) -> list[tuple[Tensor, Tensor, Tensor]]:
+        return self._layers("ar")
+
+    @property
+    def heads(self) -> list[tuple[Tensor, Tensor]]:
+        return self._layers("head")
 
     def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named()]
+        return list(self.named.values())
 
 
 def param_shapes(config: CpcConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Parameter names and shapes, in flattening order."""
+    """Parameter names and shapes, in flattening order: the one table of the
+    parameter layout. Every matrix has its fan-in as its first dimension."""
     shapes: list[tuple[str, tuple[int, ...]]] = []
     in_dim = config.input_dim
     for i in range(config.enc_layers):
         shapes.append((f"enc.{i}.W", (in_dim, config.enc_units)))
         shapes.append((f"enc.{i}.b", (config.enc_units,)))
         in_dim = config.enc_units
-    in_dim = config.enc_units
     for i in range(config.ctx_layers):
         shapes.append((f"ar.{i}.Wx", (in_dim, 4 * config.ctx_units)))
         shapes.append((f"ar.{i}.Wh", (config.ctx_units, 4 * config.ctx_units)))
@@ -113,69 +123,41 @@ def param_count(config: CpcConfig) -> int:
 
 
 def init_params(config: CpcConfig, seed: int) -> ModelParams:
-    """Uniform(-a, a) with a = sqrt(1/fan_in) per matrix; biases zero except
-    the LSTM forget gate, which starts at 1.0."""
+    """Uniform(-a, a) with a = sqrt(1/fan_in) per matrix, drawn in flattening
+    order; biases zero except the LSTM forget gate, which starts at 1.0."""
     from .rng import TAG_INIT, substream
 
     rng = substream(seed, TAG_INIT)
-    params = ModelParams()
-    in_dim = config.input_dim
-    for _ in range(config.enc_layers):
-        a = np.sqrt(1.0 / in_dim)
-        w = rng.uniform(-a, a, size=(in_dim, config.enc_units))
-        params.enc.append((Tensor(w, requires_grad=True),
-                           Tensor(np.zeros(config.enc_units), requires_grad=True)))
-        in_dim = config.enc_units
-    in_dim = config.enc_units
-    h = config.ctx_units
-    for _ in range(config.ctx_layers):
-        ax, ah = np.sqrt(1.0 / in_dim), np.sqrt(1.0 / h)
-        wx = rng.uniform(-ax, ax, size=(in_dim, 4 * h))
-        wh = rng.uniform(-ah, ah, size=(h, 4 * h))
-        b = np.zeros(4 * h)
-        b[h:2 * h] = 1.0
-        params.ar.append((Tensor(wx, requires_grad=True),
-                          Tensor(wh, requires_grad=True),
-                          Tensor(b, requires_grad=True)))
-        in_dim = h
-    ac = np.sqrt(1.0 / config.ctx_units)
-    for _ in range(config.future_steps):
-        w = rng.uniform(-ac, ac, size=(config.ctx_units, config.enc_units))
-        params.heads.append((Tensor(w, requires_grad=True),
-                             Tensor(np.zeros(config.enc_units), requires_grad=True)))
-    return params
+    named = {}
+    for name, shape in param_shapes(config):
+        if len(shape) == 2:
+            a = np.sqrt(1.0 / shape[0])
+            value = rng.uniform(-a, a, size=shape)
+        else:
+            value = np.zeros(shape)
+            if name.startswith("ar."):
+                h = shape[0] // 4
+                value[h:2 * h] = 1.0
+        named[name] = Tensor(value, requires_grad=True)
+    return ModelParams(named)
 
 
 def flatten(params: ModelParams) -> np.ndarray:
-    return np.concatenate([t.data.ravel() for _, t in params.named()])
+    return np.concatenate([t.data.ravel() for t in params.tensors()])
 
 
 def unflatten(config: CpcConfig, vec: np.ndarray, requires_grad: bool = True) -> ModelParams:
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape != (param_count(config),):
         raise ConfigError(f"weight vector has {vec.size} entries, model needs {param_count(config)}")
-    arrays: dict[str, np.ndarray] = {}
+    named = {}
     offset = 0
     for name, shape in param_shapes(config):
         n = int(np.prod(shape))
-        arrays[name] = vec[offset:offset + n].reshape(shape).copy()
+        named[name] = Tensor(vec[offset:offset + n].reshape(shape).copy(),
+                             requires_grad=requires_grad)
         offset += n
-    return params_from_arrays(config, arrays, requires_grad=requires_grad)
-
-
-def params_from_arrays(config: CpcConfig, arrays: dict[str, np.ndarray],
-                       requires_grad: bool = True) -> ModelParams:
-    def t(name):
-        return Tensor(arrays[name], requires_grad=requires_grad)
-
-    params = ModelParams()
-    for i in range(config.enc_layers):
-        params.enc.append((t(f"enc.{i}.W"), t(f"enc.{i}.b")))
-    for i in range(config.ctx_layers):
-        params.ar.append((t(f"ar.{i}.Wx"), t(f"ar.{i}.Wh"), t(f"ar.{i}.b")))
-    for k in range(1, config.future_steps + 1):
-        params.heads.append((t(f"head.{k}.W"), t(f"head.{k}.b")))
-    return params
+    return ModelParams(named)
 
 
 def _as_feature_matrix(x) -> Tensor:
@@ -212,7 +194,7 @@ def contextualize(z: Tensor, params: ModelParams) -> Tensor:
         c = Tensor(np.zeros(hdim))
         outs = []
         for t in range(steps):
-            x_t = ad.row(z, t) if li == 0 else layer_in[t]
+            x_t = ad.index(z, t) if li == 0 else layer_in[t]
             h, c = ad.lstm_cell(x_t, h, c, wx, wh, b)
             outs.append(h)
         layer_in = outs
@@ -244,7 +226,7 @@ def prediction_scores(z: Tensor, c: Tensor, params: ModelParams, k: int,
     """
     steps = z.shape[0]
     w, b = params.heads[k - 1]
-    pred = ad.add_rowvec(ad.matmul(ad.rows(c, 0, steps - k), w), b)
+    pred = ad.add_rowvec(ad.matmul(ad.index(c, slice(0, steps - k)), w), b)
     return ad.scale(ad.matmul(z, ad.transpose(pred)), 1.0 / config.temperature)
 
 
@@ -257,8 +239,9 @@ def _horizon_term(scores: Tensor, k: int, steps: int, config: CpcConfig,
     idx[:, 0] = np.arange(k, steps)  # true future frame per t
     for t in range(width):
         idx[t, 1:] = sample_negatives(t, k, steps, config.num_negatives, rng)
-    logits = ad.gather_pairs(scores, idx, np.arange(width))
-    true_logprob = ad.col(ad.log_softmax(logits), 0)
+    # logits[t, j] = scores[idx[t, j], t]
+    logits = ad.index(scores, (idx, np.arange(width)[:, None]))
+    true_logprob = ad.index(ad.log_softmax(logits), (slice(None), 0))
     return ad.div_scalar(ad.sum_all(true_logprob), -float(width))
 
 

@@ -10,7 +10,6 @@ from the same speakers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -133,10 +132,6 @@ def render_probe_report(results, header_comments: list[str] | None = None) -> st
     lines.append("# " + PROBE_HEADER)
     lines.extend(r.render() for r in results)
     return "\n".join(lines) + "\n"
-
-
-def write_probe_report(path, results, header_comments: list[str] | None = None) -> None:
-    Path(path).write_text(render_probe_report(results, header_comments), encoding="utf-8")
 
 
 def evaluate_weights(arm: str, checkpoint_name: str, weights: np.ndarray,

@@ -84,14 +84,6 @@ def write_manifest(path, records, header_comments: list[str] | None = None) -> N
     Path(path).write_text(render_manifest(records, header_comments), encoding="utf-8")
 
 
-def parse_librilight_id(utt_id: str) -> tuple[str, str, str]:
-    """Split a "speaker-chapter-seq" identifier into its three fields."""
-    parts = utt_id.split("-")
-    if len(parts) != 3 or not all(parts):
-        raise ManifestError(f"utterance_id {utt_id!r} is not speaker-chapter-seq shaped")
-    return parts[0], parts[1], parts[2]
-
-
 @dataclass
 class SpeakerSilo:
     """All of one speaker's utterances, chapter-ordered (ties by utterance_id)."""
@@ -128,9 +120,6 @@ class ClientStream:
     @property
     def exhausted(self) -> bool:
         return self.cursor >= len(self.batches)
-
-    def remaining_batches(self) -> int:
-        return len(self.batches) - self.cursor
 
     def next_batch(self) -> list[UtteranceRecord] | None:
         """The next batch, advancing the cursor; None once drained."""

@@ -6,7 +6,7 @@ import pytest
 
 from fedcpc import checkpoint as ck
 from fedcpc import model as m
-from fedcpc.errors import CheckpointError
+from fedcpc.errors import CheckpointError, FedcpcError
 
 
 def cfg():
@@ -121,6 +121,17 @@ def test_load_rejects_garbled_header(tmp_path, good, garbled):
     assert good in blob
     path.write_bytes(blob.replace(good, garbled))
     with pytest.raises(CheckpointError):
+        ck.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [b"nan", b"inf"])
+def test_load_rejects_non_finite_temperature(tmp_path, value):
+    path = tmp_path / "x.ckpt"
+    ck.save_checkpoint(path, cfg(), np.zeros(m.param_count(cfg())))
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"meta cfg.temperature 0.5\n",
+                                  b"meta cfg.temperature " + value + b"\n"))
+    with pytest.raises(FedcpcError):
         ck.load_checkpoint(path)
 
 

@@ -168,6 +168,19 @@ def test_pretrain_diverging_run_is_a_one_line_error(tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert "round " in err and "client " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--workers", "0", "--manifest", "none.tsv"],
+    ["synth", "--seed", "-5"],
+], ids=["workers-0", "seed-negative"])
+def test_flag_values_are_validated(tmp_path, capsys, argv):
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert argv[1].lstrip("-") in err
 
 
 # ------------------------------------------------------------------- probe

@@ -70,6 +70,7 @@ def test_parse_type_errors():
     "probe.lr=NaN",
     "workers=0",
     "workers=-2",
+    "seed=-1",
 ])
 def test_parse_rejects_bad_values(line):
     with pytest.raises(ConfigError) as e:

