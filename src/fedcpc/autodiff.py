@@ -1,13 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Design: each primitive op wraps its numpy result in a :class:`Tensor` and, when
-any input requires gradients, records a :class:`TapeNode` linking inputs to
-outputs together with a closure that maps output adjoints to input adjoints.
-:func:`gradient` reconstructs the tape for a scalar loss (iterative
-post-order, so deep recurrent graphs do not hit the recursion limit), walks it
-in reverse visiting each node exactly once, and returns the adjoints of the
-requested tensors. Tensors carry no gradient state, so one call never sees
-another's results.
+Design: each primitive op wraps its numpy result in one :class:`Tensor` and,
+when any input requires gradients, records a :class:`TapeNode` on it: the
+op's inputs and a closure that maps the output's adjoint to the inputs'
+adjoints. References point only from an output to its node and from a node
+to its inputs, so the graph has no cycles and reference counting frees it as
+soon as the loss is dropped. :func:`gradient` reconstructs the tape for a
+scalar loss (iterative post-order), walks it in reverse visiting each node
+exactly once, and returns the adjoints of the requested leaf tensors. Tensors
+carry no gradient state, so one call never sees another's results.
+
+The recurrent context encoder is one :func:`lstm_layer` node per layer: it
+runs the whole sequence forward and back through time inside its closure.
 
 The ops are the ones the model calls, plus :func:`mul`, which the
 finite-difference tests use to weight op outputs.
@@ -68,19 +72,19 @@ class Tensor:
 
 
 class TapeNode:
-    """One recorded primitive: inputs, outputs, and the adjoint closure.
+    """One recorded primitive: its inputs and the adjoint closure.
 
-    ``back`` receives one adjoint array per output (zeros for outputs the
-    loss never used) and returns one adjoint array (or None) per input.
+    ``back`` receives the adjoint of the op's output and returns one adjoint
+    array (or None, for an input that needs none) per input. The node does
+    not refer to its output, which keeps the graph acyclic.
     """
 
-    __slots__ = ("op", "inputs", "outputs", "back")
+    __slots__ = ("op", "inputs", "back")
 
-    def __init__(self, op: str, inputs: tuple[Tensor, ...], outputs: tuple[Tensor, ...],
-                 back: Callable[..., tuple[Array | None, ...]]):
+    def __init__(self, op: str, inputs: tuple[Tensor, ...],
+                 back: Callable[[Array], tuple[Array | None, ...]]):
         self.op = op
         self.inputs = inputs
-        self.outputs = outputs
         self.back = back
 
 
@@ -119,40 +123,35 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _record(op: str, inputs: tuple[Tensor, ...], out_data, back) -> Tensor | tuple[Tensor, ...]:
-    multi = isinstance(out_data, tuple)
+def _record(op: str, inputs: tuple[Tensor, ...], out_data, back) -> Tensor:
     track = any(t.requires_grad for t in inputs)
-    outs = tuple(Tensor(d, requires_grad=track) for d in (out_data if multi else (out_data,)))
+    out = Tensor(out_data, requires_grad=track)
     if track:
-        node = TapeNode(op, inputs, outs, back)
-        for o in outs:
-            o.node = node
-    return outs if multi else outs[0]
+        out.node = TapeNode(op, inputs, back)
+    return out
 
 
 def gradient(loss: Tensor, params: Sequence[Tensor]) -> list[Array]:
-    """Gradients of the scalar ``loss`` for ``params``; zeros for params the
-    loss never used.
+    """Gradients of the scalar ``loss`` for the leaf tensors ``params``;
+    zeros for params the loss never used.
 
+    Adjoints are keyed by the node that produced a tensor (by the tensor
+    itself for leaves); every node on the tape lies on a path to the loss, so
+    each has an adjoint when its turn comes, and it is dropped once used.
     Deterministic: the accumulation order is fixed by the tape order.
     """
     if loss.shape != ():
         raise ContractError(f"gradient requires a scalar loss, got shape {loss.shape}")
-    adjoint: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
+    if any(p.node is not None for p in params):
+        raise ContractError("gradient is taken for leaf tensors only")
+    adjoint: dict[TapeNode | Tensor, Array] = {loss.node or loss: np.ones((), dtype=np.float64)}
     for node in reversed(Tape.trace(loss).nodes):
-        out_grads = tuple(
-            adjoint[id(o)] if id(o) in adjoint else np.zeros_like(o.data)
-            for o in node.outputs
-        )
-        in_grads = node.back(*out_grads)
-        for t, g in zip(node.inputs, in_grads):
+        for t, g in zip(node.inputs, node.back(adjoint.pop(node))):
             if g is None:
                 continue
-            if id(t) in adjoint:
-                adjoint[id(t)] = adjoint[id(t)] + g
-            else:
-                adjoint[id(t)] = g
-    return [adjoint[id(p)] if id(p) in adjoint else np.zeros_like(p.data) for p in params]
+            key = t.node or t
+            adjoint[key] = adjoint[key] + g if key in adjoint else g
+    return [adjoint[p] if p in adjoint else np.zeros_like(p.data) for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +168,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def back(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _record("matmul", (a, b), out, back)
 
@@ -266,32 +266,23 @@ def index(a: Tensor, key) -> Tensor:
     """``a.data[key]`` for a constant numpy index ``key``: an int, a slice,
     integer arrays, or a tuple of these.
 
-    The adjoint scatter-adds back into ``a``, so entries gathered more than
-    once accumulate.
+    A basic key (ints and slices only) selects each entry at most once, so
+    its adjoint is written by assignment. Any other key scatter-adds back
+    into ``a``, so entries gathered more than once accumulate.
     """
     a = _as_tensor(a)
+    basic = all(isinstance(k, (int, np.integer, slice))
+                for k in (key if isinstance(key, tuple) else (key,)))
 
     def back(g):
         z = np.zeros_like(a.data)
-        np.add.at(z, key, g)
+        if basic:
+            z[key] = g
+        else:
+            np.add.at(z, key, g)
         return (z,)
 
     return _record("index", (a,), a.data[key].copy(), back)
-
-
-def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length 1-D tensors into a matrix, one per row."""
-    vs = tuple(_as_tensor(v) for v in vectors)
-    if not vs:
-        raise DimensionError("stack_rows requires at least one vector")
-    if any(v.ndim != 1 or v.shape != vs[0].shape for v in vs):
-        raise DimensionError("stack_rows requires 1-D vectors of equal length")
-    out = np.stack([v.data for v in vs])
-
-    def back(g):
-        return tuple(g[i] for i in range(len(vs)))
-
-    return _record("stack_rows", vs, out, back)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -315,60 +306,67 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
 
 def _sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
+    # never overflows; exp(-|x|) is the one exponential both forms need
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              wx: Tensor, wh: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """One step of a standard LSTM cell (gate order i, f, g, o).
+def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """A standard LSTM (gate order i, f, g, o) over the rows of ``x``, from a
+    zero state; row t of the result is h_t:
 
-        a = x @ wx + h_prev @ wh + b
+        a_t = x_t @ wx + h_{t-1} @ wh + b
         i, f, o = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o);  g = tanh(a_g)
-        c = f * c_prev + i * g;  h = o * tanh(c)
+        c_t = f * c_{t-1} + i * g;  h_t = o * tanh(c_t)
 
-    Fused into a single tape node with a hand-derived adjoint; gradients
-    through time come from chaining cells on the tape.
+    One tape node for the whole sequence. The input projection is one matrix
+    product; the recurrence caches the gates, c and tanh(c). Backward runs
+    through time to fill the pre-activation adjoints dA (T x 4H), after which
+    each input's adjoint is one matrix product.
     """
-    x, h_prev, c_prev = _as_tensor(x), _as_tensor(h_prev), _as_tensor(c_prev)
-    wx, wh, b = _as_tensor(wx), _as_tensor(wh), _as_tensor(b)
-    if x.ndim != 1 or h_prev.ndim != 1 or c_prev.ndim != 1:
-        raise DimensionError("lstm_cell state and input must be 1-D")
-    hdim = h_prev.shape[0]
-    if (wx.shape != (x.shape[0], 4 * hdim) or wh.shape != (hdim, 4 * hdim)
-            or b.shape != (4 * hdim,) or c_prev.shape != (hdim,)):
-        raise DimensionError(
-            f"lstm_cell: inconsistent shapes x={x.shape} h={h_prev.shape} c={c_prev.shape} "
-            f"wx={wx.shape} wh={wh.shape} b={b.shape}")
+    x, wx, wh, b = _as_tensor(x), _as_tensor(wx), _as_tensor(wh), _as_tensor(b)
+    if x.ndim != 2:
+        raise DimensionError(f"lstm_layer input must be 2-D, got shape {x.shape}")
+    steps, hdim = x.shape[0], wh.shape[0]
+    if (wx.shape != (x.shape[1], 4 * hdim) or wh.shape != (hdim, 4 * hdim)
+            or b.shape != (4 * hdim,)):
+        raise DimensionError(f"lstm_layer: inconsistent shapes x={x.shape} "
+                             f"wx={wx.shape} wh={wh.shape} b={b.shape}")
 
-    a = x.data @ wx.data + h_prev.data @ wh.data + b.data
-    i = _sigmoid(a[:hdim])
-    f = _sigmoid(a[hdim:2 * hdim])
-    g_ = np.tanh(a[2 * hdim:3 * hdim])
-    o = _sigmoid(a[3 * hdim:])
-    c = f * c_prev.data + i * g_
-    tc = np.tanh(c)
-    h = o * tc
+    xw = x.data @ wx.data
+    gates = np.empty((steps, 4 * hdim))   # i, f, g, o after their nonlinearities
+    cs = np.zeros((steps + 1, hdim))      # c_{t-1} in row t, c_t in row t+1
+    hs = np.zeros((steps + 1, hdim))      # likewise for h
+    tcs = np.empty((steps, hdim))
+    for t in range(steps):
+        a = xw[t] + hs[t] @ wh.data + b.data
+        gates[t] = _sigmoid(a)
+        s = gates[t]
+        s[2 * hdim:3 * hdim] = np.tanh(a[2 * hdim:3 * hdim])
+        cs[t + 1] = s[hdim:2 * hdim] * cs[t] + s[:hdim] * s[2 * hdim:3 * hdim]
+        tcs[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = s[3 * hdim:] * tcs[t]
 
-    def back(gh, gc):
-        dc = gc + gh * o * (1.0 - tc * tc)
-        da = np.concatenate([
-            dc * g_ * i * (1.0 - i),
-            dc * c_prev.data * f * (1.0 - f),
-            dc * i * (1.0 - g_ * g_),
-            gh * tc * o * (1.0 - o),
-        ])
-        return (
-            wx.data @ da,            # x
-            wh.data @ da,            # h_prev
-            dc * f,                  # c_prev
-            np.outer(x.data, da),    # wx
-            np.outer(h_prev.data, da),  # wh
-            da,                      # b
-        )
+    def back(gh):
+        i, f, g_, o = np.split(gates, 4, axis=1)
+        # the elementwise factors that do not depend on the recurrence
+        dc_from_h = o * (1.0 - tcs * tcs)
+        dgates = np.concatenate([g_ * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
+                                 i * (1.0 - g_ * g_)], axis=1).reshape(steps, 3, hdim)
+        do = tcs * o * (1.0 - o)
+        da = np.empty((steps, 4 * hdim))
+        da3 = da[:, :3 * hdim].reshape(steps, 3, hdim)  # a view into da
+        dh = np.zeros(hdim)
+        dc = np.zeros(hdim)
+        for t in range(steps - 1, -1, -1):
+            h_adj = gh[t] + dh
+            dc = dc + h_adj * dc_from_h[t]
+            da3[t] = dc * dgates[t]
+            da[t, 3 * hdim:] = h_adj * do[t]
+            dh = wh.data @ da[t]
+            dc = dc * f[t]
+        return (da @ wx.data.T if x.requires_grad else None,
+                x.data.T @ da, hs[:-1].T @ da, da.sum(axis=0))
 
-    return _record("lstm_cell", (x, h_prev, c_prev, wx, wh, b), (h, c), back)
+    return _record("lstm_layer", (x, wx, wh, b), hs[1:], back)

@@ -186,19 +186,10 @@ def contextualize(z: Tensor, params: ModelParams) -> Tensor:
     if z.ndim != 2 or z.shape[1] != params.ar[0][0].shape[0]:
         raise ConfigError(f"context encoder expects {params.ar[0][0].shape[0]} columns, "
                           f"got shape {z.shape}")
-    steps = z.shape[0]
-    hdim = params.ar[0][1].shape[0]
-    layer_in: list[Tensor] | None = None
-    for li, (wx, wh, b) in enumerate(params.ar):
-        h = Tensor(np.zeros(hdim))
-        c = Tensor(np.zeros(hdim))
-        outs = []
-        for t in range(steps):
-            x_t = ad.index(z, t) if li == 0 else layer_in[t]
-            h, c = ad.lstm_cell(x_t, h, c, wx, wh, b)
-            outs.append(h)
-        layer_in = outs
-    return ad.stack_rows(layer_in)
+    h = z
+    for wx, wh, b in params.ar:
+        h = ad.lstm_layer(h, wx, wh, b)
+    return h
 
 
 def sample_negatives(t: int, k: int, total: int, count: int,
@@ -213,8 +204,9 @@ def sample_negatives(t: int, k: int, total: int, count: int,
         raise ConfigError(f"target frame {target} outside [0, {total})")
     if total - 1 < count:
         raise TooShortError(f"utterance has {total} frames; {count} negatives need at least {count + 1}")
-    candidates = np.concatenate([np.arange(target), np.arange(target + 1, total)])
-    return rng.choice(candidates, size=count, replace=False)
+    # draw among the total-1 other frames, then skip over the target
+    idx = rng.choice(total - 1, size=count, replace=False)
+    return idx + (idx >= target)
 
 
 def prediction_scores(z: Tensor, c: Tensor, params: ModelParams, k: int,

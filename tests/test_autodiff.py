@@ -68,6 +68,20 @@ def test_matmul_identity():
     assert np.array_equal(g, np.ones((4, 4)))
 
 
+def test_matmul_constant_operand_gets_no_adjoint():
+    rng = np.random.default_rng(22)
+    a0, b0 = rng.standard_normal((5, 3)), rng.standard_normal((3, 2))
+    g = rng.standard_normal((5, 2))
+    b = Tensor(b0, requires_grad=True)
+    ga, gb = ad.matmul(Tensor(a0), b).node.back(g)
+    assert ga is None
+    # the adjoint that is computed is the same product, bit for bit
+    _, gb_both = ad.matmul(Tensor(a0, requires_grad=True), b).node.back(g)
+    assert np.array_equal(gb, gb_both)
+    assert np.array_equal(gradient(ad.sum_all(ad.matmul(Tensor(a0), b)), [b])[0],
+                          a0.T @ np.ones((5, 2)))
+
+
 def test_matmul_rejects_non_2d():
     with pytest.raises(DimensionError):
         ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
@@ -152,20 +166,11 @@ def test_row_col_rows_scatter():
         check_against_fd(lambda t, key=key, w=w: ad.sum_all(ad.mul(ad.index(t, key), w)), x0)
 
 
-def test_stack_rows_and_transpose():
+def test_transpose_against_fd():
     rng = np.random.default_rng(7)
     x0 = rng.standard_normal((3, 4))
     w = rng.standard_normal((4, 3))
     check_against_fd(lambda t: ad.sum_all(ad.mul(ad.transpose(t), Tensor(w))), x0)
-
-    vecs = [Tensor(rng.standard_normal(4), requires_grad=True) for _ in range(3)]
-    out = ad.stack_rows(vecs)
-    assert out.shape == (3, 4)
-    grads = gradient(ad.sum_all(ad.mul(out, Tensor(np.arange(12.0).reshape(3, 4)))), vecs)
-    for i, g in enumerate(grads):
-        assert np.array_equal(g, np.arange(12.0).reshape(3, 4)[i])
-    v0 = rng.standard_normal(4)
-    check_against_fd(lambda t: ad.sum_all(ad.mul(ad.stack_rows([Tensor(v0), t]), Tensor(w.T[:2]))), v0)
 
 
 def test_add_rowvec_against_fd():
@@ -199,6 +204,19 @@ def test_gather_pairs_forward_and_adjoint():
     check_against_fd(build, s0)
 
 
+def test_index_basic_key_adjoint_equals_scatter_add():
+    # the basic keys the model takes: a context row range, the true-candidate
+    # column, and a single row; assignment must match np.add.at exactly
+    rng = np.random.default_rng(21)
+    x0 = rng.standard_normal((6, 5))
+    for key in (slice(0, 4), (slice(None), 0), 2, (3, slice(1, 4))):
+        g = rng.standard_normal(x0[key].shape)
+        want = np.zeros_like(x0)
+        np.add.at(want, key, g)
+        (got,) = ad.index(Tensor(x0, requires_grad=True), key).node.back(g)
+        assert np.array_equal(got, want)
+
+
 def test_div_scalar():
     rng = np.random.default_rng(10)
     x0 = rng.standard_normal(6)
@@ -229,77 +247,149 @@ def test_half_squared_norm_gradient_is_w():
     assert np.max(np.abs(g - w0)) < 1e-15
 
 
+def lstm_weights(rng, in_dim, hid):
+    return (rng.standard_normal((in_dim, 4 * hid)) * 0.4,
+            rng.standard_normal((hid, 4 * hid)) * 0.4,
+            rng.standard_normal(4 * hid) * 0.1)
+
+
+def lstm_cell_oracle(xs, wx, wh, b, gh):
+    """Per-step numpy LSTM and its backward through time, one cell at a time:
+    the forward and adjoint formulas of a single fused LSTM cell, chained.
+    Returns (h rows, dx, dwx, dwh, db) for output adjoint ``gh``."""
+    hid = wh.shape[0]
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    h, c = np.zeros(hid), np.zeros(hid)
+    cache, outs = [], []
+    for x in xs:
+        a = x @ wx + h @ wh + b
+        i, f = sig(a[:hid]), sig(a[hid:2 * hid])
+        g_, o = np.tanh(a[2 * hid:3 * hid]), sig(a[3 * hid:])
+        cache.append((x, h, c, i, f, g_, o))
+        c = f * c + i * g_
+        h = o * np.tanh(c)
+        outs.append(h)
+    dx = np.zeros_like(xs)
+    dwx, dwh, db = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
+    dh_next, dc_next = np.zeros(hid), np.zeros(hid)
+    for t in range(len(xs) - 1, -1, -1):
+        x, h_prev, c_prev, i, f, g_, o = cache[t]
+        tc = np.tanh(f * c_prev + i * g_)
+        dh = gh[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        da = np.concatenate([dc * g_ * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g_ * g_), dh * tc * o * (1.0 - o)])
+        dx[t] = wx @ da
+        dwx += np.outer(x, da)
+        dwh += np.outer(h_prev, da)
+        db += da
+        dh_next, dc_next = wh @ da, dc * f
+    return np.stack(outs), dx, dwx, dwh, db
+
+
+def test_lstm_layer_matches_per_step_oracle():
+    rng = np.random.default_rng(16)
+    in_dim, hid, steps = 5, 4, 9
+    xs = rng.standard_normal((steps, in_dim))
+    wx0, wh0, b0 = lstm_weights(rng, in_dim, hid)
+    gh = rng.standard_normal((steps, hid))
+    want = lstm_cell_oracle(xs, wx0, wh0, b0, gh)
+    ts = [Tensor(v, requires_grad=True) for v in (xs, wx0, wh0, b0)]
+    out = ad.lstm_layer(*ts)
+    grads = gradient(ad.sum_all(ad.mul(out, Tensor(gh))), ts)
+    for got, ref in zip([out.data, *grads], want):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
 def test_lstm_cell_zero_weights():
-    # all-zero gates: i=f=o=1/2, g=0 -> c=c_prev/2, h=tanh(c)/2
-    dim = 4
-    x = Tensor(np.ones(3))
-    h0 = Tensor(np.zeros(dim))
-    c0 = Tensor(np.ones(dim))
-    wx = Tensor(np.zeros((3, 4 * dim)))
-    wh = Tensor(np.zeros((dim, 4 * dim)))
-    b = Tensor(np.zeros(4 * dim))
-    h, c = ad.lstm_cell(x, h0, c0, wx, wh, b)
-    assert np.max(np.abs(c.data - 0.5)) < 1e-15
-    assert np.max(np.abs(h.data - 0.5 * np.tanh(0.5))) < 1e-15
+    # zero weights, g-gate bias beta: i=f=o=1/2 and g=tanh(beta) at every
+    # step, so c_t = tanh(beta) * (1 - 2**-t) and h_t = tanh(c_t) / 2
+    dim, beta = 4, 0.8
+    b = np.zeros(4 * dim)
+    b[2 * dim:3 * dim] = beta
+    h = ad.lstm_layer(Tensor(np.ones((3, 2))), Tensor(np.zeros((2, 4 * dim))),
+                      Tensor(np.zeros((dim, 4 * dim))), Tensor(b))
+    c = np.tanh(beta) * (1.0 - 0.5 ** np.arange(1, 4))
+    assert np.max(np.abs(h.data - 0.5 * np.tanh(c)[:, None])) < 1e-15
 
 
-def test_lstm_cell_against_fd_length_5():
-    """Unrolled 5-step chain: gradient of a scalar readout w.r.t. every
-    weight matrix checks out against finite differences."""
+@pytest.mark.parametrize("steps", [1, 5])
+def test_lstm_layer_against_fd(steps):
+    """Gradient of a weighted readout of every h_t w.r.t. the input and each
+    weight checks out against finite differences."""
     rng = np.random.default_rng(12)
     in_dim, hid = 3, 4
-    xs = rng.standard_normal((5, in_dim))
-    wx0 = rng.standard_normal((in_dim, 4 * hid)) * 0.4
-    wh0 = rng.standard_normal((hid, 4 * hid)) * 0.4
-    b0 = rng.standard_normal(4 * hid) * 0.1
-    readout = rng.standard_normal(hid)
+    args = [rng.standard_normal((steps, in_dim)), *lstm_weights(rng, in_dim, hid)]
+    readout = Tensor(rng.standard_normal((steps, hid)))
+    for pick in range(4):
+        def build(t, pick=pick):
+            inner = [Tensor(a) for a in args]
+            inner[pick] = t
+            return ad.sum_all(ad.mul(ad.lstm_layer(*inner), readout))
 
-    def run(wx_arr, wh_arr, b_arr):
-        wx, wh, b = Tensor(wx_arr, requires_grad=True), Tensor(wh_arr, requires_grad=True), \
-            Tensor(b_arr, requires_grad=True)
-        h = Tensor(np.zeros(hid))
-        c = Tensor(np.zeros(hid))
-        for t in range(5):
-            h, c = ad.lstm_cell(Tensor(xs[t]), h, c, wx, wh, b)
-        loss = ad.sum_all(ad.mul(h, Tensor(readout)))
-        return loss, wx, wh, b
+        check_against_fd(build, args[pick], tol=1e-5)
 
-    loss, wx, wh, b = run(wx0, wh0, b0)
-    grads = gradient(loss, [wx, wh, b])
-    for grad, arr, pick in zip(grads, [wx0, wh0, b0], range(3)):
-        args = [wx0, wh0, b0]
 
-        def f(a, pick=pick, args=args):
-            inner = list(args)
-            inner[pick] = a
-            return run(*inner)[0].item()
+def test_stacked_lstm_layers_against_fd():
+    rng = np.random.default_rng(17)
+    in_dim, hid, steps = 3, 4, 5
+    args = [rng.standard_normal((steps, in_dim)), *lstm_weights(rng, in_dim, hid),
+            *lstm_weights(rng, hid, hid)]
+    readout = Tensor(rng.standard_normal((steps, hid)))
+    for pick in range(7):
+        def build(t, pick=pick):
+            inner = [Tensor(a) for a in args]
+            inner[pick] = t
+            h = ad.lstm_layer(*inner[:4])
+            return ad.sum_all(ad.mul(ad.lstm_layer(h, *inner[4:]), readout))
 
-        fd = fd_grad(f, arr)
-        assert rel_err(grad, fd) < 1e-4
+        # gradient entries near 1e-4 carry finite-difference noise near 1e-10
+        check_against_fd(build, args[pick], tol=1e-5)
+
+
+def test_lstm_layer_constant_input_gets_no_adjoint():
+    rng = np.random.default_rng(18)
+    wx, wh, b = (Tensor(v, requires_grad=True) for v in lstm_weights(rng, 3, 2))
+    out = ad.lstm_layer(Tensor(rng.standard_normal((4, 3))), wx, wh, b)
+    assert out.node.back(np.ones((4, 2)))[0] is None
+
+
+def test_lstm_layer_rejects_bad_shapes():
+    rng = np.random.default_rng(19)
+    wx, wh, b = (Tensor(v) for v in lstm_weights(rng, 3, 2))
+    with pytest.raises(DimensionError):
+        ad.lstm_layer(Tensor(np.ones(3)), wx, wh, b)
+    with pytest.raises(DimensionError):
+        ad.lstm_layer(Tensor(np.ones((4, 2))), wx, wh, b)
+    with pytest.raises(DimensionError):
+        ad.lstm_layer(Tensor(np.ones((4, 3))), wx, wh, Tensor(np.zeros(7)))
+
+
+def test_sigmoid_matches_two_branch_form_bitwise():
+    rng = np.random.default_rng(20)
+    x = np.concatenate([rng.standard_normal(500) * 40, [0.0, -0.0, 800.0, -800.0, 1e-300]])
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    assert np.array_equal(ad._sigmoid(x), want)
 
 
 def test_lstm_causality():
     """h_t must not depend on x_s for s > t."""
     rng = np.random.default_rng(13)
-    in_dim, hid = 3, 4
-    wx = Tensor(rng.standard_normal((in_dim, 4 * hid)) * 0.4)
-    wh = Tensor(rng.standard_normal((hid, 4 * hid)) * 0.4)
-    b = Tensor(np.zeros(4 * hid))
-    xs = rng.standard_normal((4, in_dim))
-
-    def h_at(step, inputs):
-        h = Tensor(np.zeros(hid))
-        c = Tensor(np.zeros(hid))
-        outs = []
-        for t in range(4):
-            h, c = ad.lstm_cell(Tensor(inputs[t]), h, c, wx, wh, b)
-            outs.append(h.data.copy())
-        return outs[step]
-
+    weights = [Tensor(v) for v in lstm_weights(rng, 3, 4)]
+    xs = rng.standard_normal((4, 3))
     bumped = xs.copy()
     bumped[3] += 10.0
-    assert np.array_equal(h_at(1, xs), h_at(1, bumped))
-    assert not np.array_equal(h_at(3, xs), h_at(3, bumped))
+    base = ad.lstm_layer(Tensor(xs), *weights).data
+    moved = ad.lstm_layer(Tensor(bumped), *weights).data
+    assert np.array_equal(base[:3], moved[:3])
+    assert not np.array_equal(base[3], moved[3])
 
 
 def test_gradient_zeros_for_unused_params():
@@ -309,6 +399,13 @@ def test_gradient_zeros_for_unused_params():
     gs = gradient(loss, [used, unused])
     assert np.array_equal(gs[0], np.ones(3))
     assert np.array_equal(gs[1], np.zeros((2, 2)))
+
+
+def test_gradient_rejects_non_leaf_params():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = ad.scale(x, 2.0)
+    with pytest.raises(ContractError):
+        gradient(ad.sum_all(y), [y])
 
 
 def test_gradient_ignores_previous_calls():

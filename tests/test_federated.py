@@ -1,11 +1,14 @@
 """Tests for the federated loop: selection, client updates, aggregation,
 the server optimizer, and the one-round equivalence with a plain SGD step."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from fedcpc import federated as fed_mod
 from fedcpc import model as m
+from fedcpc.autodiff import gradient
 from fedcpc.central import sgd_reference_step
 from fedcpc.errors import ConfigError, NonFiniteUpdateError
 from fedcpc.federated import (ClientUpdate, FedConfig, MetricsRow, ServerState,
@@ -103,6 +106,21 @@ def test_batch_mean_loss_all_short():
     loss, _, usable = batch_mean_loss(weights, batch, SMALL, seed=4)
     assert usable == []
     assert loss.item() == 0.0
+
+
+def test_gradient_leaves_no_cyclic_garbage(corpus):
+    # the tape holds no reference cycles, so dropping the loss frees it
+    # without the cyclic collector
+    weights = m.flatten(m.init_params(SMALL, 0))
+    gc.collect()
+    gc.disable()
+    try:
+        loss, params, _ = batch_mean_loss(weights, corpus[:4], SMALL, seed=4)
+        grads = gradient(loss, params.tensors())
+        del loss, params, grads
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_batch_mean_loss_same_seed_same_value(corpus):

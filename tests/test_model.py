@@ -226,6 +226,21 @@ def test_sample_negatives_target_out_of_range():
         m.sample_negatives(t=5, k=3, total=8, count=2, rng=rng)
 
 
+def test_sample_negatives_matches_candidate_array_draws():
+    # oracle: choose among an explicit array of the frames other than t+k
+    def oracle(t, k, total, count, rng):
+        candidates = np.concatenate([np.arange(t + k), np.arange(t + k + 1, total)])
+        return rng.choice(candidates, size=count, replace=False)
+
+    for seed in range(40):
+        for total in (8, 9, 31, 93, 300):
+            for k in (1, 4):
+                t = int(np.random.default_rng(seed).integers(0, total - k))
+                want = oracle(t, k, total, 7, np.random.default_rng(seed))
+                got = m.sample_negatives(t, k, total, 7, np.random.default_rng(seed))
+                assert np.array_equal(got, want)
+
+
 def test_sample_negatives_uniform_chi_square():
     # 3000 draws of 2 negatives from the 7 candidates != 4; chi-square
     # against uniform with 6 dof stays under the 0.999 quantile.
