@@ -11,7 +11,8 @@ exactly once, and returns the adjoints of the requested leaf tensors. Tensors
 carry no gradient state, so one call never sees another's results.
 
 The recurrent context encoder is one :func:`lstm_layer` node per layer: it
-runs the whole sequence forward and back through time inside its closure.
+runs every sequence of a client batch, packed step-major, forward and back
+through time inside its closure.
 
 The ops are the ones the model calls, plus :func:`mul`, which the
 finite-difference tests use to weight op outputs.
@@ -63,9 +64,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def __add__(self, other):
-        return add(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -282,7 +280,8 @@ def index(a: Tensor, key) -> Tensor:
             np.add.at(z, key, g)
         return (z,)
 
-    return _record("index", (a,), a.data[key].copy(), back)
+    # a basic key gives a view, which is safe because no op writes to its inputs
+    return _record("index", (a,), a.data[key], back)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -305,68 +304,136 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     return _record("add_rowvec", (m, v), out, back)
 
 
-def _sigmoid(x: Array) -> Array:
+def _sigmoid(x: Array, out: Array | None = None) -> Array:
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
     # never overflows; exp(-|x|) is the one exponential both forms need
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """A standard LSTM (gate order i, f, g, o) over the rows of ``x``, from a
-    zero state; row t of the result is h_t:
+# packed rows per chunk of the LSTM backward pass: bounds its scratch memory
+_CHUNK_ROWS = 256
+
+
+def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths=None) -> Tensor:
+    """A standard LSTM (gate order i, f, g, o) over each sequence of rows of
+    ``x``, from a zero state; row t of a sequence's result is its h_t:
 
         a_t = x_t @ wx + h_{t-1} @ wh + b
         i, f, o = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o);  g = tanh(a_g)
         c_t = f * c_{t-1} + i * g;  h_t = o * tanh(c_t)
 
-    One tape node for the whole sequence. The input projection is one matrix
-    product; the recurrence caches the gates, c and tanh(c). Backward runs
-    through time to fill the pre-activation adjoints dA (T x 4H), after which
-    each input's adjoint is one matrix product.
+    The rows of ``x`` are consecutive sequences of the given ``lengths``
+    (one sequence when None). One tape node for all of them. Internally the
+    rows are packed step-major, longest sequence first (a stable sort), so
+    step t is one contiguous block of the sequences still running and one
+    ``h @ wh`` advances them all, with no padding. The input projection is
+    one matrix product; the recurrence caches the gates, c and tanh(c).
+    Backward runs through time to fill the pre-activation adjoints dA in
+    packed order, a chunk of steps at a time; each chunk then adds its share
+    of every input's adjoint with one matrix product.
     """
     x, wx, wh, b = _as_tensor(x), _as_tensor(wx), _as_tensor(wh), _as_tensor(b)
     if x.ndim != 2:
         raise DimensionError(f"lstm_layer input must be 2-D, got shape {x.shape}")
-    steps, hdim = x.shape[0], wh.shape[0]
+    rows, hdim = x.shape[0], wh.shape[0]
     if (wx.shape != (x.shape[1], 4 * hdim) or wh.shape != (hdim, 4 * hdim)
             or b.shape != (4 * hdim,)):
         raise DimensionError(f"lstm_layer: inconsistent shapes x={x.shape} "
                              f"wx={wx.shape} wh={wh.shape} b={b.shape}")
+    lengths = np.array([rows] if lengths is None else lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() <= 0 or lengths.sum() != rows:
+        raise DimensionError(f"lstm_layer: sequence lengths {lengths.tolist()} must be "
+                             f"positive and sum to the {rows} input rows")
 
-    xw = x.data @ wx.data
-    gates = np.empty((steps, 4 * hdim))   # i, f, g, o after their nonlinearities
-    cs = np.zeros((steps + 1, hdim))      # c_{t-1} in row t, c_t in row t+1
-    hs = np.zeros((steps + 1, hdim))      # likewise for h
-    tcs = np.empty((steps, hdim))
-    for t in range(steps):
-        a = xw[t] + hs[t] @ wh.data + b.data
-        gates[t] = _sigmoid(a)
-        s = gates[t]
-        s[2 * hdim:3 * hdim] = np.tanh(a[2 * hdim:3 * hdim])
-        cs[t + 1] = s[hdim:2 * hdim] * cs[t] + s[:hdim] * s[2 * hdim:3 * hdim]
-        tcs[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = s[3 * hdim:] * tcs[t]
+    # packed row p holds original row order[p]; step t is rows off[t]:off[t+1]
+    by_length = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[by_length]
+    running_at = lengths[by_length][None, :] > np.arange(lengths.max())[:, None]
+    order = (starts[None, :] + np.arange(lengths.max())[:, None])[running_at]
+    running = running_at.sum(axis=1)
+    first = int(running[0])  # step 0 of every sequence
+    # packed row of the same sequence one step earlier; row `rows` of cs is
+    # the zero c_{-1} of step 0
+    prev = np.concatenate([np.full(first, rows),
+                           np.arange(first, rows) - np.repeat(running[:-1], running[1:])])
+    off = np.concatenate([[0], np.cumsum(running)]).tolist()
+    running = running.tolist()
+
+    gates = x.data[order] @ wx.data   # x_t @ wx, then i, f, g, o in place
+    cs = np.zeros((rows + 1, hdim))   # c_t, then a zero row
+    tcs = np.empty((rows, hdim))      # tanh(c_t)
+    hs = np.empty((rows, hdim))       # h_t
+    h = np.zeros((first, hdim))
+    c = cs[rows:]                     # the zero c_{-1}, broadcast over step 0
+    for t, n in enumerate(running):
+        p = slice(off[t], off[t + 1])
+        s = gates[p]
+        s += h[:n] @ wh.data
+        s += b.data
+        g = np.tanh(s[:, 2 * hdim:3 * hdim])
+        _sigmoid(s, out=s)
+        s[:, 2 * hdim:3 * hdim] = g
+        c_prev, c = c[:n], cs[p]
+        np.multiply(s[:, hdim:2 * hdim], c_prev, out=c)
+        c += s[:, :hdim] * g
+        h = hs[p]
+        np.multiply(s[:, 3 * hdim:], np.tanh(c, out=tcs[p]), out=h)
+    out = np.empty((rows, hdim))
+    out[order] = hs
 
     def back(gh):
-        i, f, g_, o = np.split(gates, 4, axis=1)
-        # the elementwise factors that do not depend on the recurrence
-        dc_from_h = o * (1.0 - tcs * tcs)
-        dgates = np.concatenate([g_ * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
-                                 i * (1.0 - g_ * g_)], axis=1).reshape(steps, 3, hdim)
-        do = tcs * o * (1.0 - o)
-        da = np.empty((steps, 4 * hdim))
-        da3 = da[:, :3 * hdim].reshape(steps, 3, hdim)  # a view into da
-        dh = np.zeros(hdim)
-        dc = np.zeros(hdim)
-        for t in range(steps - 1, -1, -1):
-            h_adj = gh[t] + dh
-            dc = dc + h_adj * dc_from_h[t]
-            da3[t] = dc * dgates[t]
-            da[t, 3 * hdim:] = h_adj * do[t]
-            dh = wh.data @ da[t]
-            dc = dc * f[t]
-        return (da @ wx.data.T if x.requires_grad else None,
-                x.data.T @ da, hs[:-1].T @ da, da.sum(axis=0))
+        i, f, g_, o = (gates[:, j * hdim:(j + 1) * hdim] for j in range(4))
+        dwx, dwh, db = np.zeros_like(wx.data), np.zeros_like(wh.data), np.zeros(4 * hdim)
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        # adjoints flowing back from step t+1; rows of sequences that end at
+        # step t stay zero, since steps only grow going backwards
+        dh = np.zeros((first, hdim))
+        dc = np.zeros((first, hdim))
+        # steps are taken in chunks of about _CHUNK_ROWS packed rows, so only
+        # one chunk's pre-activation adjoints dA are alive at a time
+        span = max(1, _CHUNK_ROWS // first)
+        chunk = np.empty((min(rows, span * first), 4 * hdim))
+        for t_end in range(len(running), 0, -span):
+            t_start = max(0, t_end - span)
+            lo, hi = off[t_start], off[t_end]
+            r = slice(lo, hi)
+            # dA = [dc * g i (1-i), dc * c_prev f (1-f), dc * i (1-g^2),
+            # dh * tanh(c) o (1-o)]; the factors after dc and dh do not
+            # depend on the recurrence, so they are written in first and
+            # each step only multiplies
+            da = chunk[:hi - lo]
+            d = da[:, :hdim]
+            np.multiply(g_[r], i[r], out=d)
+            d *= 1.0 - i[r]
+            d = da[:, hdim:2 * hdim]
+            np.multiply(cs[prev[r]], f[r], out=d)
+            d *= 1.0 - f[r]
+            d = da[:, 2 * hdim:3 * hdim]
+            np.multiply(g_[r], g_[r], out=d)
+            np.subtract(1.0, d, out=d)
+            d *= i[r]
+            d = da[:, 3 * hdim:]
+            np.multiply(tcs[r], o[r], out=d)
+            d *= 1.0 - o[r]
+            da3 = da[:, :3 * hdim].reshape(hi - lo, 3, hdim)  # a view into da
+            for t in range(t_end - 1, t_start - 1, -1):
+                n, p = running[t], slice(off[t], off[t + 1])
+                q = slice(off[t] - lo, off[t + 1] - lo)  # the same rows within the chunk
+                h_adj = gh[order[p]] + dh[:n]
+                tc = tcs[p]
+                dc_t = dc[:n] + h_adj * (o[p] * (1.0 - tc * tc))
+                da3[q] *= dc_t[:, None, :]
+                da[q, 3 * hdim:] *= h_adj
+                np.matmul(da[q], wh.data.T, out=dh[:n])
+                np.multiply(dc_t, f[p], out=dc[:n])
+            dwx += x.data[order[r]].T @ da
+            # h_{t-1} of an original row is the row before it; step 0's is zero
+            past = max(lo, first)
+            dwh += out[order[past:hi] - 1].T @ da[past - lo:]
+            db += da.sum(axis=0)
+            if dx is not None:
+                dx[order[r]] = da @ wx.data.T
+        return dx, dwx, dwh, db
 
-    return _record("lstm_layer", (x, wx, wh, b), hs[1:], back)
+    return _record("lstm_layer", (x, wx, wh, b), out, back)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as m
-from .autodiff import Tensor, gradient, scale
+from .autodiff import Tensor, gradient
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, NonFiniteUpdateError, NonFiniteValueError, TooShortError
 from .frontend import features_for_record
@@ -142,7 +142,8 @@ def select_clients(active: list[int], clients_per_round: int,
 
 def batch_mean_loss(weights: np.ndarray, batch, cpc_config: m.CpcConfig,
                     seed: int, base_dir=None) -> tuple[Tensor, m.ModelParams, list]:
-    """Mean InfoNCE loss over the batch's usable utterances.
+    """Mean InfoNCE loss over the batch's usable utterances, as one graph
+    (:func:`fedcpc.model.batch_loss`).
 
     Returns (loss tensor, live params, usable records). Utterances too short
     for the loss are left out; an unusable batch returns an empty list.
@@ -150,22 +151,22 @@ def batch_mean_loss(weights: np.ndarray, batch, cpc_config: m.CpcConfig,
     the same utterance computes the same loss term.
     """
     params = m.unflatten(cpc_config, weights, requires_grad=True)
-    usable = []
-    total = None
+    usable, feats = [], []
     for record in batch:
         try:
-            feats = features_for_record(record, base_dir)
+            seq = features_for_record(record, base_dir)
         except TooShortError:
             continue  # audio below one feature frame counts as unusable
-        if not m.usable_frames(feats.num_frames, cpc_config):
-            continue
-        loss = m.utterance_loss(feats, params, cpc_config,
-                                utterance_rng(seed, record.utterance_id))
-        total = loss if total is None else (total + loss)
-        usable.append(record)
+        if m.usable_frames(seq.num_frames, cpc_config):
+            usable.append(record)
+            feats.append(seq.x)
     if not usable:
         return Tensor(np.zeros(())), params, []
-    return scale(total, 1.0 / len(usable)), params, usable
+    lengths = [f.shape[0] for f in feats]
+    x = np.concatenate(feats)
+    del feats  # the graph keeps only the concatenated copy
+    rngs = [utterance_rng(seed, r.utterance_id) for r in usable]
+    return m.batch_loss(x, lengths, params, cpc_config, rngs), params, usable
 
 
 def client_update(weights: np.ndarray, stream: ClientStream, fed: FedConfig,

@@ -1,11 +1,14 @@
 """Finite-difference validation of the tape gradients.
 
 For each parameter tensor, compare the tape gradient against central
-differences on a sample of coordinates. The error measure is
-|a - f| / max(|a|, |f|, 1e-5): pure relative error wherever the gradient is
-measurable, with a floor at the finite-difference noise scale so that
-coordinates whose true gradient sits below what a 1e-5 step can resolve
-(cancellation noise is around 1e-10 here) do not produce spurious failures.
+differences on a sample of coordinates. The loss is that of a packed batch
+of two utterances of unequal length (:func:`fedcpc.model.batch_loss`), so the
+check covers the multi-sequence LSTM as well as the per-utterance InfoNCE.
+The error measure is |a - f| / max(|a|, |f|, 1e-5): pure relative error
+wherever the gradient is measurable, with a floor at the finite-difference
+noise scale so that coordinates whose true gradient sits below what a 1e-5
+step can resolve (cancellation noise is around 1e-10 here) do not produce
+spurious failures.
 
 ``corrupt`` is a fault-injection hook for tests: scaling one tensor's tape
 gradient by 1.01 must make exactly that group fail.
@@ -41,23 +44,32 @@ class GroupReport:
         return f"{self.group}\t{repr(self.max_rel_err)}\t{self.coords_checked}\t{status}"
 
 
-def _loss_value(config: m.CpcConfig, weights: np.ndarray, features: np.ndarray,
-                seed: int) -> float:
-    # the negative-sampling rng is rebuilt per call so every evaluation of
+def _batch_loss(config: m.CpcConfig, params: m.ModelParams, features, seed: int):
+    # the negative-sampling rngs are rebuilt per call so every evaluation of
     # the loss sees identical candidate sets
+    rngs = [utterance_rng(seed, f"gradcheck-{i}") for i in range(len(features))]
+    return m.batch_loss(np.concatenate(features), [f.shape[0] for f in features],
+                        params, config, rngs)
+
+
+def _loss_value(config: m.CpcConfig, weights: np.ndarray, features, seed: int) -> float:
     params = m.unflatten(config, weights, requires_grad=False)
-    loss = m.utterance_loss(features, params, config, utterance_rng(seed, "gradcheck"))
-    return loss.item()
+    return _batch_loss(config, params, features, seed).item()
 
 
 def run_gradcheck(config: m.CpcConfig, seed: int, frames: int = 12,
                   coords_per_group: int = 20, step: float = FD_STEP,
                   corrupt: str | None = None) -> list[GroupReport]:
-    """One report per parameter tensor, in flattening order."""
+    """One report per parameter tensor, in flattening order, for a batch of
+    two utterances of ``frames`` and ``frames - 3`` frames (no fewer than
+    the loss accepts)."""
     rng = substream(seed, TAG_GRADCHECK)
-    features = rng.standard_normal((frames, config.input_dim))
+    second = substream(seed, TAG_GRADCHECK, 1)
+    shorter = max(frames - 3, config.min_frames())
+    features = [rng.standard_normal((frames, config.input_dim)),
+                second.standard_normal((shorter, config.input_dim))]
     params = m.init_params(config, seed)
-    loss = m.utterance_loss(features, params, config, utterance_rng(seed, "gradcheck"))
+    loss = _batch_loss(config, params, features, seed)
     grads = gradient(loss, params.tensors())
     names = list(params.named)
     weights = m.flatten(params)

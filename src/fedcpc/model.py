@@ -11,6 +11,12 @@ same utterance:
 
 The mean over horizons keeps the uniform-score value at ln(N) regardless of
 K, so freshly initialized models start near ln(N).
+
+A client batch is one graph (:func:`batch_loss`): the encoder runs once over
+the concatenated frames of all its utterances, each LSTM layer is one packed
+node over all of them, and InfoNCE is taken per utterance on its rows. An
+utterance's negatives for every (t, k) pair are drawn in one bulk call that
+returns exactly the draws of calling :func:`sample_negatives` pair by pair.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, TooShortError
+from .rng import choice_rows
 
 
 @dataclass(frozen=True)
@@ -178,17 +185,19 @@ def encode(x, params: ModelParams) -> Tensor:
     return h
 
 
-def contextualize(z: Tensor, params: ModelParams) -> Tensor:
+def contextualize(z: Tensor, params: ModelParams, lengths=None) -> Tensor:
     """Stacked unidirectional LSTM over latent frames, zero initial state.
 
-    Row t of the result depends only on rows 0..t of ``z``.
+    The rows of ``z`` are consecutive sequences of the given ``lengths``
+    (one sequence when None). Row t of a sequence's result depends only on
+    rows 0..t of that sequence.
     """
     if z.ndim != 2 or z.shape[1] != params.ar[0][0].shape[0]:
         raise ConfigError(f"context encoder expects {params.ar[0][0].shape[0]} columns, "
                           f"got shape {z.shape}")
     h = z
     for wx, wh, b in params.ar:
-        h = ad.lstm_layer(h, wx, wh, b)
+        h = ad.lstm_layer(h, wx, wh, b, lengths)
     return h
 
 
@@ -209,6 +218,24 @@ def sample_negatives(t: int, k: int, total: int, count: int,
     return idx + (idx >= target)
 
 
+def draw_negatives(steps: int, config: CpcConfig, rng: np.random.Generator) -> np.ndarray:
+    """Negatives for every (t, k) pair of a ``steps``-frame utterance, one row
+    per pair in horizon-major order (k = 1..K, then t = 0..T-k-1).
+
+    Every pair draws from the same T-1 frames, so the draws come from one
+    :func:`~fedcpc.rng.choice_rows` call; they are exactly the draws of
+    calling :func:`sample_negatives` per pair in that order, which is the
+    fallback wherever the bulk form cannot promise them.
+    """
+    pairs = [(t, k) for k in range(1, config.future_steps + 1) for t in range(steps - k)]
+    idx = choice_rows(rng, steps - 1, config.num_negatives, len(pairs))
+    if idx is None:
+        return np.array([sample_negatives(t, k, steps, config.num_negatives, rng)
+                         for t, k in pairs])
+    target = np.array([t + k for t, k in pairs])
+    return idx + (idx >= target[:, None])
+
+
 def prediction_scores(z: Tensor, c: Tensor, params: ModelParams, k: int,
                       config: CpcConfig) -> Tensor:
     """Temperature-scaled score matrix for horizon ``k``.
@@ -222,15 +249,13 @@ def prediction_scores(z: Tensor, c: Tensor, params: ModelParams, k: int,
     return ad.scale(ad.matmul(z, ad.transpose(pred)), 1.0 / config.temperature)
 
 
-def _horizon_term(scores: Tensor, k: int, steps: int, config: CpcConfig,
-                  rng: np.random.Generator) -> Tensor:
-    """-(1/(T-k)) * sum_t log softmax over {true, negatives} for horizon k."""
+def _horizon_term(scores: Tensor, k: int, steps: int, negatives: np.ndarray) -> Tensor:
+    """-(1/(T-k)) * sum_t log softmax over {true, negatives} for horizon k;
+    row t of ``negatives`` holds the negatives of pair (t, k)."""
     width = steps - k
-    n_cand = config.num_candidates
-    idx = np.empty((width, n_cand), dtype=np.intp)
+    idx = np.empty((width, negatives.shape[1] + 1), dtype=np.intp)
     idx[:, 0] = np.arange(k, steps)  # true future frame per t
-    for t in range(width):
-        idx[t, 1:] = sample_negatives(t, k, steps, config.num_negatives, rng)
+    idx[:, 1:] = negatives
     # logits[t, j] = scores[idx[t, j], t]
     logits = ad.index(scores, (idx, np.arange(width)[:, None]))
     true_logprob = ad.index(ad.log_softmax(logits), (slice(None), 0))
@@ -242,8 +267,8 @@ def infonce_loss(z: Tensor, c: Tensor, params: ModelParams, config: CpcConfig,
     """Contrastive loss over all horizons; scalar, finite, >= 0.
 
     Negatives are drawn per (t, k) pair from the same utterance through
-    ``rng`` in horizon-major order, so a given generator state fully
-    determines the candidate sets.
+    ``rng`` in horizon-major order (:func:`draw_negatives`), so a given
+    generator state fully determines the candidate sets.
     """
     steps = z.shape[0]
     if z.shape[0] != c.shape[0]:
@@ -252,9 +277,13 @@ def infonce_loss(z: Tensor, c: Tensor, params: ModelParams, config: CpcConfig,
         raise TooShortError(f"{steps} frames cannot support a {config.future_steps}-step horizon")
     if steps < config.num_candidates:
         raise TooShortError(f"{steps} frames cannot supply {config.num_negatives} distinct negatives")
+    negatives = draw_negatives(steps, config, rng)
     total: Tensor | None = None
+    start = 0
     for k in range(1, config.future_steps + 1):
-        term = _horizon_term(prediction_scores(z, c, params, k, config), k, steps, config, rng)
+        term = _horizon_term(prediction_scores(z, c, params, k, config), k, steps,
+                             negatives[start:start + steps - k])
+        start += steps - k
         total = term if total is None else ad.add(total, term)
     return ad.div_scalar(total, float(config.future_steps))
 
@@ -265,6 +294,27 @@ def utterance_loss(features, params: ModelParams, config: CpcConfig,
     z = encode(features, params)
     c = contextualize(z, params)
     return infonce_loss(z, c, params, config, rng)
+
+
+def batch_loss(x, lengths, params: ModelParams, config: CpcConfig, rngs) -> Tensor:
+    """Mean :func:`utterance_loss` over several utterances, as one graph.
+
+    The rows of ``x`` are the utterances' feature matrices, one after the
+    other, with the given ``lengths``; ``rngs`` holds each one's
+    negative-sampling generator. The encoder runs once over all the rows and
+    each LSTM layer is one packed node over all the sequences; InfoNCE is
+    then taken per utterance on its own rows of z and c.
+    """
+    z = encode(x, params)
+    c = contextualize(z, params, lengths)
+    total: Tensor | None = None
+    start = 0
+    for n, rng in zip(lengths, rngs):
+        rows = slice(start, start + n)
+        start += n
+        loss = infonce_loss(ad.index(z, rows), ad.index(c, rows), params, config, rng)
+        total = loss if total is None else ad.add(total, loss)
+    return ad.scale(total, 1.0 / len(lengths))
 
 
 def usable_frames(num_frames: int, config: CpcConfig) -> bool:

@@ -305,6 +305,53 @@ def test_lstm_layer_matches_per_step_oracle():
         assert np.max(np.abs(got - ref)) <= 1e-12
 
 
+def test_packed_lstm_layer_matches_per_sequence_oracle():
+    # unsorted lengths, two equal ones and a length-1 sequence
+    rng = np.random.default_rng(21)
+    in_dim, hid, lengths = 5, 4, [5, 9, 1, 9, 3]
+    xs = rng.standard_normal((sum(lengths), in_dim))
+    wx0, wh0, b0 = lstm_weights(rng, in_dim, hid)
+    gh = rng.standard_normal((sum(lengths), hid))
+    h_want, dx_want = np.empty((sum(lengths), hid)), np.empty_like(xs)
+    dws_want = [np.zeros_like(wx0), np.zeros_like(wh0), np.zeros_like(b0)]
+    start = 0
+    for n in lengths:
+        rows = slice(start, start + n)
+        start += n
+        h, dx, *dws = lstm_cell_oracle(xs[rows], wx0, wh0, b0, gh[rows])
+        h_want[rows], dx_want[rows] = h, dx
+        for acc, d in zip(dws_want, dws):
+            acc += d
+    ts = [Tensor(v, requires_grad=True) for v in (xs, wx0, wh0, b0)]
+    out = ad.lstm_layer(*ts, lengths=lengths)
+    grads = gradient(ad.sum_all(ad.mul(out, Tensor(gh))), ts)
+    for got, ref in zip([out.data, *grads], [h_want, dx_want, *dws_want]):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_packed_lstm_layer_against_fd():
+    rng = np.random.default_rng(22)
+    in_dim, hid, lengths = 3, 4, [4, 2, 3]
+    args = [rng.standard_normal((sum(lengths), in_dim)), *lstm_weights(rng, in_dim, hid)]
+    readout = Tensor(rng.standard_normal((sum(lengths), hid)))
+    for pick in range(4):
+        def build(t, pick=pick):
+            inner = [Tensor(a) for a in args]
+            inner[pick] = t
+            return ad.sum_all(ad.mul(ad.lstm_layer(*inner, lengths=lengths), readout))
+
+        check_against_fd(build, args[pick], tol=1e-5)
+
+
+@pytest.mark.parametrize("lengths", [[3, 3], [4, 1, 0], [6, -1], []])
+def test_packed_lstm_layer_rejects_bad_lengths(lengths):
+    rng = np.random.default_rng(23)
+    wx, wh, b = (Tensor(v) for v in lstm_weights(rng, 3, 2))
+    with pytest.raises(DimensionError):
+        ad.lstm_layer(Tensor(np.ones((5, 3))), wx, wh, b, lengths=lengths)
+
+
 def test_lstm_cell_zero_weights():
     # zero weights, g-gate bias beta: i=f=o=1/2 and g=tanh(beta) at every
     # step, so c_t = tanh(beta) * (1 - 2**-t) and h_t = tanh(c_t) / 2

@@ -108,6 +108,30 @@ def test_batch_mean_loss_all_short():
     assert loss.item() == 0.0
 
 
+def test_batch_mean_loss_equals_mean_of_utterance_losses(corpus):
+    # the packed batch graph against the per-utterance path, with one
+    # utterance too short to use
+    from fedcpc.frontend import features_for_record
+    from fedcpc.rng import utterance_rng
+
+    weights = m.flatten(m.init_params(SMALL, 3))
+    batch = [corpus[0], short_record(), corpus[9], corpus[17]]
+    loss, params, usable = batch_mean_loss(weights, batch, SMALL, seed=4)
+    grads = gradient(loss, params.tensors())
+    assert len(usable) == 3
+    values, per_utt = [], []
+    for record in usable:
+        single = m.unflatten(SMALL, weights, requires_grad=True)
+        term = m.utterance_loss(features_for_record(record), single, SMALL,
+                                utterance_rng(4, record.utterance_id))
+        values.append(term.item())
+        per_utt.append(gradient(term, single.tensors()))
+    assert abs(loss.item() - np.mean(values)) <= 1e-12
+    for j, g in enumerate(grads):
+        want = np.mean([gs[j] for gs in per_utt], axis=0)
+        assert np.max(np.abs(g - want)) <= 1e-12
+
+
 def test_gradient_leaves_no_cyclic_garbage(corpus):
     # the tape holds no reference cycles, so dropping the loss frees it
     # without the cyclic collector

@@ -18,6 +18,13 @@ def test_all_groups_pass_on_small_model():
         assert 0 < r.coords_checked <= 10
 
 
+def test_shorter_utterance_is_no_shorter_than_the_loss_accepts():
+    # 10 frames is the shortest this config accepts, more than frames - 3
+    wide = m.CpcConfig(enc_units=8, ctx_units=8, future_steps=2, num_negatives=9)
+    reports = gc.run_gradcheck(wide, seed=3, frames=12, coords_per_group=3)
+    assert all(r.passed for r in reports)
+
+
 def test_corrupted_group_is_flagged_exactly():
     target = "ar.0.Wh"
     reports = gc.run_gradcheck(SMALL, seed=42, frames=10, coords_per_group=10,

@@ -257,6 +257,84 @@ def test_sample_negatives_uniform_chi_square():
     assert chi2 < 22.46  # chi2(6).ppf(0.999)
 
 
+# -------------------------------------------------------- bulk negatives
+
+def per_pair_negatives(steps, config, rng):
+    """The oracle: one sample_negatives call per (t, k) pair, horizon-major."""
+    return np.array([m.sample_negatives(t, k, steps, config.num_negatives, rng)
+                     for k in range(1, config.future_steps + 1) for t in range(steps - k)])
+
+
+@pytest.mark.parametrize("n_neg", [1, 3, 7])
+@pytest.mark.parametrize("k_fut", [1, 4])
+def test_draw_negatives_equals_per_pair_draws(k_fut, n_neg):
+    # steps=8 with 7 negatives leaves pop == count, which takes the loop
+    cfg = m.CpcConfig(future_steps=k_fut, num_negatives=n_neg)
+    for steps in (8, 9, 20, 74, 98, 300):
+        for seed in range(200):
+            bulk = np.random.default_rng([seed, 5, steps])
+            loop = np.random.default_rng([seed, 5, steps])
+            got = m.draw_negatives(steps, cfg, bulk)
+            assert np.array_equal(got, per_pair_negatives(steps, cfg, loop)), (steps, seed)
+            assert bulk.bit_generator.state == loop.bit_generator.state, (steps, seed)
+
+
+def count_sample_negatives(monkeypatch):
+    calls = []
+    inner = m.sample_negatives
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(m, "sample_negatives", counted)
+    return calls
+
+
+def test_draw_negatives_falls_back_on_a_lemire_rejection(monkeypatch):
+    from fedcpc.rng import choice_rows
+
+    cfg = m.CpcConfig()
+    pairs = sum(93 - k for k in range(1, cfg.future_steps + 1))
+    probe = np.random.default_rng([18659, 5, 93])
+    before = probe.bit_generator.state
+    assert choice_rows(probe, 92, cfg.num_negatives, pairs) is None
+    assert probe.bit_generator.state == before  # untouched on fallback
+    calls = count_sample_negatives(monkeypatch)
+    bulk, loop = np.random.default_rng([18659, 5, 93]), np.random.default_rng([18659, 5, 93])
+    got = m.draw_negatives(93, cfg, bulk)
+    assert len(calls) == pairs
+    assert np.array_equal(got, per_pair_negatives(93, cfg, loop))
+    assert bulk.bit_generator.state == loop.bit_generator.state
+
+
+def test_draw_negatives_falls_back_on_a_buffered_half(monkeypatch):
+    cfg = m.CpcConfig()
+    bulk, loop = np.random.default_rng(3), np.random.default_rng(3)
+    for g in (bulk, loop):
+        g.random(dtype=np.float32)  # leaves a 32-bit half buffered
+    assert bulk.bit_generator.state["has_uint32"] == 1
+    calls = count_sample_negatives(monkeypatch)
+    got = m.draw_negatives(20, cfg, bulk)
+    assert len(calls) == got.shape[0]
+    assert np.array_equal(got, per_pair_negatives(20, cfg, loop))
+    assert bulk.bit_generator.state == loop.bit_generator.state
+
+
+def test_failing_self_check_forces_the_loop(monkeypatch):
+    from fedcpc import rng as rng_mod
+
+    assert rng_mod.choice_rows_verified()
+    monkeypatch.setattr(rng_mod, "choice_rows_verified", lambda: False)
+    calls = count_sample_negatives(monkeypatch)
+    cfg = m.CpcConfig()
+    bulk, loop = np.random.default_rng(11), np.random.default_rng(11)
+    got = m.draw_negatives(30, cfg, bulk)
+    assert len(calls) == got.shape[0] == sum(30 - k for k in range(1, 5))
+    assert np.array_equal(got, per_pair_negatives(30, cfg, loop))
+    assert bulk.bit_generator.state == loop.bit_generator.state
+
+
 # ------------------------------------------------------------------- scores
 
 def test_prediction_scores_orientation_and_temperature():
