@@ -12,10 +12,11 @@ carry no gradient state, so one call never sees another's results.
 
 The recurrent context encoder is one :func:`lstm_layer` node per layer: it
 runs every sequence of a client batch, packed step-major, forward and back
-through time inside its closure.
+through time inside its closure. The contrastive loss is one :func:`infonce`
+node per client batch, with a hand-derived adjoint.
 
-The ops are the ones the model calls, plus :func:`mul`, which the
-finite-difference tests use to weight op outputs.
+The ops are the ones the model calls, plus :func:`mul` and :func:`sum_all`,
+which the finite-difference tests use to reduce op outputs to a scalar.
 
 Everything is float64. Broadcasting is restricted to scalar-with-tensor; the
 one sanctioned structured broadcast is :func:`add_rowvec` (bias over matrix
@@ -172,60 +173,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), out, back)
 
 
-def _binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
-    # Same shape, or one side scalar; nothing broader is supported on purpose.
-    if a.shape == b.shape or a.shape == () or b.shape == ():
-        return
-    raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} are not compatible "
-                         "(only scalar-with-tensor broadcasting is supported)")
-
-
-def _reduce_for(shape: tuple[int, ...], g: Array) -> Array:
-    return g.sum() if shape == () and g.shape != () else g
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes("add", a, b)
-    out = a.data + b.data
-
-    def back(g):
-        return _reduce_for(a.shape, g), _reduce_for(b.shape, g)
-
-    return _record("add", (a, b), out, back)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes("mul", a, b)
+    # Same shape, or one side scalar; nothing broader is supported on purpose.
+    if not (a.shape == b.shape or a.shape == () or b.shape == ()):
+        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} are not compatible "
+                             "(only scalar-with-tensor broadcasting is supported)")
     out = a.data * b.data
 
     def back(g):
-        return _reduce_for(a.shape, g * b.data), _reduce_for(b.shape, g * a.data)
+        # a scalar operand collects the adjoint of every position it scaled
+        ga, gb = g * b.data, g * a.data
+        return (ga.sum() if a.shape == () else ga), (gb.sum() if b.shape == () else gb)
 
     return _record("mul", (a, b), out, back)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    """Multiply by a plain (non-differentiated) constant."""
-    a = _as_tensor(a)
-    s = float(s)
-    return _record("scale", (a,), a.data * s, lambda g: (g * s,))
-
-
-def div_scalar(a: Tensor, d: float) -> Tensor:
-    """Divide by a plain constant.
-
-    Not the same as scale(a, 1/d): a true division rounds once, which keeps
-    mean-of-identical-values exact (sum of n copies of v, divided by n,
-    returns v). The contrastive loss relies on that for its uniform-score
-    value.
-    """
-    a = _as_tensor(a)
-    d = float(d)
-    if d == 0.0:
-        raise DimensionError("division by zero")
-    return _record("div_scalar", (a,), a.data / d, lambda g: (g / d,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -236,20 +197,6 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", (a,), out, lambda g: (g * mask,))
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    """Log-softmax along the last axis, stable via max subtraction."""
-    a = _as_tensor(a)
-    if a.ndim not in (1, 2) or a.shape[-1] < 1:
-        raise DimensionError(f"log_softmax requires a non-empty 1-D or 2-D input, got shape {a.shape}")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-    def back(g):
-        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
-
-    return _record("log_softmax", (a,), out, back)
-
-
 def sum_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = a.data.sum()
@@ -258,37 +205,6 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full(a.shape, g, dtype=np.float64),)
 
     return _record("sum", (a,), out, back)
-
-
-def index(a: Tensor, key) -> Tensor:
-    """``a.data[key]`` for a constant numpy index ``key``: an int, a slice,
-    integer arrays, or a tuple of these.
-
-    A basic key (ints and slices only) selects each entry at most once, so
-    its adjoint is written by assignment. Any other key scatter-adds back
-    into ``a``, so entries gathered more than once accumulate.
-    """
-    a = _as_tensor(a)
-    basic = all(isinstance(k, (int, np.integer, slice))
-                for k in (key if isinstance(key, tuple) else (key,)))
-
-    def back(g):
-        z = np.zeros_like(a.data)
-        if basic:
-            z[key] = g
-        else:
-            np.add.at(z, key, g)
-        return (z,)
-
-    # a basic key gives a view, which is safe because no op writes to its inputs
-    return _record("index", (a,), a.data[key], back)
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"transpose requires a 2-D input, got shape {a.shape}")
-    return _record("transpose", (a,), a.data.T.copy(), lambda g: (g.T,))
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
@@ -309,6 +225,15 @@ def _sigmoid(x: Array, out: Array | None = None) -> Array:
     # never overflows; exp(-|x|) is the one exponential both forms need
     e = np.exp(-np.abs(x))
     return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+
+
+def _sequence_lengths(op: str, lengths, rows: int) -> Array:
+    """``lengths`` as an array, one sequence of ``rows`` when None."""
+    lengths = np.array([rows] if lengths is None else lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() <= 0 or lengths.sum() != rows:
+        raise DimensionError(f"{op}: sequence lengths {lengths.tolist()} must be "
+                             f"positive and sum to the {rows} input rows")
+    return lengths
 
 
 # packed rows per chunk of the LSTM backward pass: bounds its scratch memory
@@ -341,10 +266,7 @@ def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths=None) -> Te
             or b.shape != (4 * hdim,)):
         raise DimensionError(f"lstm_layer: inconsistent shapes x={x.shape} "
                              f"wx={wx.shape} wh={wh.shape} b={b.shape}")
-    lengths = np.array([rows] if lengths is None else lengths, dtype=np.intp)
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() <= 0 or lengths.sum() != rows:
-        raise DimensionError(f"lstm_layer: sequence lengths {lengths.tolist()} must be "
-                             f"positive and sum to the {rows} input rows")
+    lengths = _sequence_lengths("lstm_layer", lengths, rows)
 
     # packed row p holds original row order[p]; step t is rows off[t]:off[t+1]
     by_length = np.argsort(-lengths, kind="stable")
@@ -437,3 +359,88 @@ def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths=None) -> Te
         return dx, dwx, dwh, db
 
     return _record("lstm_layer", (x, wx, wh, b), out, back)
+
+
+def infonce(z: Tensor, c: Tensor, heads, lengths, candidates, temperature: float) -> Tensor:
+    """Mean contrastive (InfoNCE) loss over each sequence of rows of the
+    latents ``z`` and contexts ``c``, as one tape node.
+
+    The rows are consecutive sequences of the given ``lengths`` (one sequence
+    when None). ``heads`` holds (W_k, b_k) for horizons k = 1..K.
+    ``candidates[u]`` holds sequence u's candidate frames, one row per
+    (t, k) pair in horizon-major order (k = 1..K, then t = 0..T-k-1), the
+    true frame t+k first. With s_j = z_j . (c_t @ W_k + b_k) / temperature,
+    a sequence's loss is
+
+        (1/K) sum_k -(1/(T-k)) sum_t log softmax_j(s_j over row (t, k))[0]
+
+    and the node's value is the mean over sequences. The closure gives the
+    adjoints of z, c and every W_k and b_k; it revisits the pairs (u, k) in
+    the forward order, so each adjoint sums its terms in a fixed order.
+    """
+    z, c = _as_tensor(z), _as_tensor(c)
+    heads = [(_as_tensor(w), _as_tensor(b)) for w, b in heads]
+    if z.ndim != 2 or c.ndim != 2 or z.shape[0] != c.shape[0]:
+        raise DimensionError(f"infonce: latents {z.shape} and contexts {c.shape} "
+                             "must be 2-D with one row per frame")
+    if not heads or any(w.shape != (c.shape[1], z.shape[1]) or b.shape != (z.shape[1],)
+                        for w, b in heads):
+        raise DimensionError(f"infonce: every head must map {c.shape[1]} context "
+                             f"columns to {z.shape[1]} latent columns")
+    lengths = _sequence_lengths("infonce", lengths, z.shape[0]).tolist()
+    horizons = len(heads)
+    if len(candidates) != len(lengths) or any(
+            n <= horizons or cand.ndim != 2
+            or cand.shape[0] != sum(n - k for k in range(1, horizons + 1))
+            for n, cand in zip(lengths, candidates)):
+        raise DimensionError(f"infonce: need one candidate row per (t, k) pair of each "
+                             f"sequence, for {horizons} horizons and lengths {lengths}")
+    inv_temp = 1.0 / temperature
+    cache = []  # per (sequence, horizon): rows, head, gather key, pred^T, log-softmax
+    total = None
+    start = 0
+    for n, cand in zip(lengths, candidates):
+        rows = slice(start, start + n)
+        start += n
+        loss = None
+        first = 0
+        for j, (w, b) in enumerate(heads):
+            width = n - j - 1
+            key = (cand[first:first + width], np.arange(width)[:, None])
+            first += width
+            pred_t = (c.data[rows][:width] @ w.data + b.data).T.copy()
+            logits = ((z.data[rows] @ pred_t) * inv_temp)[key]
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            # A true division rounds once, where scaling by 1/(T-k) would
+            # round twice: the sum of T-k copies of v divided by T-k gives v
+            # back, so uniform scores give exactly ln N.
+            term = out[:, 0].sum() / -float(width)
+            loss = term if loss is None else loss + term
+            cache.append((rows, j, key, pred_t, out))
+        loss = loss / float(horizons)
+        total = loss if total is None else total + loss
+    inv_count = 1.0 / len(lengths)
+
+    def back(g):
+        dz, dc = np.zeros_like(z.data), np.zeros_like(c.data)
+        dheads = [(np.zeros_like(w.data), np.zeros_like(b.data)) for w, b in heads]
+        g_horizon = (g * inv_count) / float(horizons)
+        for rows, j, key, pred_t, out in cache:
+            width = pred_t.shape[1]
+            g_true = g_horizon / -float(width)
+            dlogits = -np.exp(out) * g_true
+            dlogits[:, 0] += g_true
+            ds = np.zeros((rows.stop - rows.start, width))
+            np.add.at(ds, key, dlogits)
+            ds *= inv_temp
+            dz[rows] += ds @ pred_t.T
+            dpred = (z.data[rows].T @ ds).T
+            dw, db = dheads[j]
+            dw += c.data[rows][:width].T @ dpred
+            db += dpred.sum(axis=0)
+            dc[rows][:width] += dpred @ heads[j][0].data.T
+        return dz, dc, *(d for pair in dheads for d in pair)
+
+    return _record("infonce", (z, c, *(t for pair in heads for t in pair)),
+                   total * inv_count, back)

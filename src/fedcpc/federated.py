@@ -154,12 +154,12 @@ def batch_mean_loss(weights: np.ndarray, batch, cpc_config: m.CpcConfig,
     usable, feats = [], []
     for record in batch:
         try:
-            seq = features_for_record(record, base_dir)
+            x = features_for_record(record, base_dir)
         except TooShortError:
             continue  # audio below one feature frame counts as unusable
-        if m.usable_frames(seq.num_frames, cpc_config):
+        if m.usable_frames(x.shape[0], cpc_config):
             usable.append(record)
-            feats.append(seq.x)
+            feats.append(x)
     if not usable:
         return Tensor(np.zeros(())), params, []
     lengths = [f.shape[0] for f in feats]

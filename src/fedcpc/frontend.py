@@ -49,17 +49,6 @@ class Waveform:
         return self.samples.size / self.sample_rate_hz
 
 
-@dataclass
-class FeatureSequence:
-    """T x 768 feature matrix; one row per 3 stacked STFT frames."""
-
-    x: np.ndarray
-
-    @property
-    def num_frames(self) -> int:
-        return self.x.shape[0]
-
-
 def stft_frames(w: Waveform, window_ms: float = 25.0, shift_ms: float = 10.0) -> np.ndarray:
     """Log-magnitude STFT, one row per frame, ``N_BINS`` columns."""
     window = int(round(w.sample_rate_hz * window_ms / 1000.0))
@@ -71,18 +60,18 @@ def stft_frames(w: Waveform, window_ms: float = 25.0, shift_ms: float = 10.0) ->
     return np.log(LOG_FLOOR + np.abs(spectrum[:, :N_BINS]))
 
 
-def stack3(frames: np.ndarray) -> FeatureSequence:
-    """Concatenate non-overlapping triples of frames; remainder dropped."""
+def stack3(frames: np.ndarray) -> np.ndarray:
+    """T x 768 features: non-overlapping triples of frames, concatenated;
+    remainder dropped."""
     if frames.ndim != 2 or frames.shape[1] != N_BINS:
         raise ConfigError(f"expected T x {N_BINS} frames, got shape {frames.shape}")
     rows = frames.shape[0] // 3
     if rows < 1:
         raise TooShortError(f"{frames.shape[0]} frames cannot fill a 3-frame stack")
-    x = frames[:3 * rows].reshape(rows, 3 * N_BINS)
-    return FeatureSequence(x)
+    return frames[:3 * rows].reshape(rows, 3 * N_BINS)
 
 
-def waveform_features(w: Waveform) -> FeatureSequence:
+def waveform_features(w: Waveform) -> np.ndarray:
     return stack3(stft_frames(w))
 
 
@@ -242,5 +231,5 @@ def resolve_audio(ref: str, base_dir=None) -> Waveform:
     return load_pcm(path)
 
 
-def features_for_record(record: UtteranceRecord, base_dir=None) -> FeatureSequence:
+def features_for_record(record: UtteranceRecord, base_dir=None) -> np.ndarray:
     return waveform_features(resolve_audio(record.audio_ref, base_dir))

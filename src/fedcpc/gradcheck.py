@@ -3,7 +3,7 @@
 For each parameter tensor, compare the tape gradient against central
 differences on a sample of coordinates. The loss is that of a packed batch
 of two utterances of unequal length (:func:`fedcpc.model.batch_loss`), so the
-check covers the multi-sequence LSTM as well as the per-utterance InfoNCE.
+check covers the multi-sequence LSTM and InfoNCE nodes.
 The error measure is |a - f| / max(|a|, |f|, 1e-5): pure relative error
 wherever the gradient is measurable, with a floor at the finite-difference
 noise scale so that coordinates whose true gradient sits below what a 1e-5

@@ -12,11 +12,13 @@ same utterance:
 The mean over horizons keeps the uniform-score value at ln(N) regardless of
 K, so freshly initialized models start near ln(N).
 
-A client batch is one graph (:func:`batch_loss`): the encoder runs once over
-the concatenated frames of all its utterances, each LSTM layer is one packed
-node over all of them, and InfoNCE is taken per utterance on its rows. An
-utterance's negatives for every (t, k) pair are drawn in one bulk call that
-returns exactly the draws of calling :func:`sample_negatives` pair by pair.
+A client batch is one graph (:func:`batch_loss`) of eight tape nodes for the
+desk model: the encoder runs once over the concatenated frames of all its
+utterances, each LSTM layer is one packed node over all of them, and InfoNCE
+is one node (:func:`fedcpc.autodiff.infonce`) over every utterance's rows.
+An utterance's negatives for every (t, k) pair are drawn in one bulk call
+that returns exactly the draws of calling :func:`sample_negatives` pair by
+pair.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, TooShortError
+from .errors import ConfigError, DimensionError, TooShortError
 from .rng import choice_rows
 
 
@@ -170,8 +172,7 @@ def unflatten(config: CpcConfig, vec: np.ndarray, requires_grad: bool = True) ->
 def _as_feature_matrix(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    data = getattr(x, "x", x)  # accept FeatureSequence or a bare array
-    return Tensor(np.asarray(data, dtype=np.float64))
+    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def encode(x, params: ModelParams) -> Tensor:
@@ -236,56 +237,31 @@ def draw_negatives(steps: int, config: CpcConfig, rng: np.random.Generator) -> n
     return idx + (idx >= target[:, None])
 
 
-def prediction_scores(z: Tensor, c: Tensor, params: ModelParams, k: int,
-                      config: CpcConfig) -> Tensor:
-    """Temperature-scaled score matrix for horizon ``k``.
-
-    Entry [j, t] scores latent frame j as the step-(t+k) future of context
-    frame t; columns cover t = 0..T-k-1.
-    """
-    steps = z.shape[0]
-    w, b = params.heads[k - 1]
-    pred = ad.add_rowvec(ad.matmul(ad.index(c, slice(0, steps - k)), w), b)
-    return ad.scale(ad.matmul(z, ad.transpose(pred)), 1.0 / config.temperature)
-
-
-def _horizon_term(scores: Tensor, k: int, steps: int, negatives: np.ndarray) -> Tensor:
-    """-(1/(T-k)) * sum_t log softmax over {true, negatives} for horizon k;
-    row t of ``negatives`` holds the negatives of pair (t, k)."""
-    width = steps - k
-    idx = np.empty((width, negatives.shape[1] + 1), dtype=np.intp)
-    idx[:, 0] = np.arange(k, steps)  # true future frame per t
-    idx[:, 1:] = negatives
-    # logits[t, j] = scores[idx[t, j], t]
-    logits = ad.index(scores, (idx, np.arange(width)[:, None]))
-    true_logprob = ad.index(ad.log_softmax(logits), (slice(None), 0))
-    return ad.div_scalar(ad.sum_all(true_logprob), -float(width))
-
-
 def infonce_loss(z: Tensor, c: Tensor, params: ModelParams, config: CpcConfig,
-                 rng: np.random.Generator) -> Tensor:
-    """Contrastive loss over all horizons; scalar, finite, >= 0.
+                 *rngs: np.random.Generator, lengths=None) -> Tensor:
+    """Contrastive loss over all horizons, averaged over sequences; scalar,
+    finite, >= 0.
 
-    Negatives are drawn per (t, k) pair from the same utterance through
-    ``rng`` in horizon-major order (:func:`draw_negatives`), so a given
-    generator state fully determines the candidate sets.
+    The rows of ``z`` and ``c`` are consecutive sequences of the given
+    ``lengths`` (one sequence when None), and ``rngs`` holds one generator
+    per sequence. Negatives are drawn per (t, k) pair from the same sequence
+    through its generator in horizon-major order (:func:`draw_negatives`),
+    so the generator states fully determine the candidate sets.
     """
-    steps = z.shape[0]
     if z.shape[0] != c.shape[0]:
         raise ConfigError(f"latent/context frame counts differ: {z.shape} vs {c.shape}")
-    if steps <= config.future_steps:
-        raise TooShortError(f"{steps} frames cannot support a {config.future_steps}-step horizon")
-    if steps < config.num_candidates:
-        raise TooShortError(f"{steps} frames cannot supply {config.num_negatives} distinct negatives")
-    negatives = draw_negatives(steps, config, rng)
-    total: Tensor | None = None
-    start = 0
-    for k in range(1, config.future_steps + 1):
-        term = _horizon_term(prediction_scores(z, c, params, k, config), k, steps,
-                             negatives[start:start + steps - k])
-        start += steps - k
-        total = term if total is None else ad.add(total, term)
-    return ad.div_scalar(total, float(config.future_steps))
+    lengths = [z.shape[0]] if lengths is None else list(lengths)
+    if len(rngs) != len(lengths):
+        raise DimensionError(f"{len(rngs)} generators for {len(lengths)} sequences")
+    candidates = []
+    for steps, rng in zip(lengths, rngs):
+        if steps <= config.future_steps:
+            raise TooShortError(f"{steps} frames cannot support a {config.future_steps}-step horizon")
+        if steps < config.num_candidates:
+            raise TooShortError(f"{steps} frames cannot supply {config.num_negatives} distinct negatives")
+        true = np.concatenate([np.arange(k, steps) for k in range(1, config.future_steps + 1)])
+        candidates.append(np.column_stack([true, draw_negatives(steps, config, rng)]))
+    return ad.infonce(z, c, params.heads, lengths, candidates, config.temperature)
 
 
 def utterance_loss(features, params: ModelParams, config: CpcConfig,
@@ -301,20 +277,13 @@ def batch_loss(x, lengths, params: ModelParams, config: CpcConfig, rngs) -> Tens
 
     The rows of ``x`` are the utterances' feature matrices, one after the
     other, with the given ``lengths``; ``rngs`` holds each one's
-    negative-sampling generator. The encoder runs once over all the rows and
-    each LSTM layer is one packed node over all the sequences; InfoNCE is
-    then taken per utterance on its own rows of z and c.
+    negative-sampling generator. The encoder runs once over all the rows,
+    each LSTM layer is one packed node and InfoNCE is one node over all the
+    sequences.
     """
     z = encode(x, params)
     c = contextualize(z, params, lengths)
-    total: Tensor | None = None
-    start = 0
-    for n, rng in zip(lengths, rngs):
-        rows = slice(start, start + n)
-        start += n
-        loss = infonce_loss(ad.index(z, rows), ad.index(c, rows), params, config, rng)
-        total = loss if total is None else ad.add(total, loss)
-    return ad.scale(total, 1.0 / len(lengths))
+    return infonce_loss(z, c, params, config, *rngs, lengths=lengths)
 
 
 def usable_frames(num_frames: int, config: CpcConfig) -> bool:

@@ -130,7 +130,11 @@ PROBE_HEADER = "arm\tcheckpoint\taccuracy\tn_eval"
 def render_probe_report(results, header_comments: list[str] | None = None) -> str:
     lines = [f"# {c}" for c in (header_comments or [])]
     lines.append("# " + PROBE_HEADER)
-    lines.extend(r.render() for r in results)
+    for r in results:
+        for value in (r.arm, r.checkpoint):
+            if "\t" in value or "\n" in value:
+                raise ConfigError(f"probe report field {value!r} contains a delimiter")
+        lines.append(r.render())
     return "\n".join(lines) + "\n"
 
 

@@ -47,7 +47,7 @@ def test_tensor_rejects_nonfinite():
 def test_backward_needs_scalar():
     t = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):
-        gradient(ad.scale(t, 2.0), [t])
+        gradient(ad.mul(t, 2.0), [t])
 
 
 def test_matmul_against_fd():
@@ -91,30 +91,31 @@ def test_matmul_rejects_non_2d():
 
 def test_add_mul_shapes():
     with pytest.raises(DimensionError):
-        ad.add(Tensor(np.ones(3)), Tensor(np.ones(4)))
+        ad.add_rowvec(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
     with pytest.raises(DimensionError):
         ad.mul(Tensor(np.ones((2, 2))), Tensor(np.ones(2)))
 
 
-def test_add_scalar_broadcast_adjoint():
+def test_mul_scalar_broadcast_adjoint():
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((3, 2))
     s = Tensor(np.asarray(0.7), requires_grad=True)
     x = Tensor(x0)
-    (g,) = gradient(ad.sum_all(ad.add(x, s)), [s])
+    (g,) = gradient(ad.sum_all(ad.mul(x, s)), [s])
     # the scalar collects one adjoint per broadcast position
     assert g.shape == ()
-    assert abs(float(g) - 6.0) < 1e-12
+    assert abs(float(g) - x0.sum()) < 1e-12
 
 
 def test_add_mul_scale_against_fd():
     rng = np.random.default_rng(15)
     x0 = rng.standard_normal((3, 2))
     y0 = rng.standard_normal((3, 2))
+    v0 = rng.standard_normal(2)
     w = Tensor(np.arange(1.0, 7.0).reshape(3, 2))
-    check_against_fd(lambda t: ad.sum_all(ad.mul(ad.add(t, Tensor(y0)), w)), x0)
+    check_against_fd(lambda t: ad.sum_all(ad.mul(ad.add_rowvec(t, Tensor(v0)), w)), x0)
     check_against_fd(lambda t: ad.sum_all(ad.mul(t, Tensor(y0))), x0)
-    check_against_fd(lambda t: ad.sum_all(ad.mul(ad.scale(t, -2.5), w)), x0)
+    check_against_fd(lambda t: ad.sum_all(ad.mul(ad.mul(t, -2.5), w)), x0)
 
 
 @pytest.mark.parametrize("op", [ad.relu])
@@ -131,48 +132,6 @@ def test_relu_subgradient_zero_at_kink():
     assert np.array_equal(g, np.array([0.0, 0.0, 1.0]))
 
 
-def test_log_softmax_uniform_rows():
-    x = Tensor(np.zeros((2, 4)))
-    out = ad.log_softmax(x)
-    assert np.all(out.data == -np.log(4.0))
-
-
-def test_log_softmax_shift_invariance_and_stability():
-    rng = np.random.default_rng(4)
-    x0 = rng.standard_normal((3, 5))
-    shifted = x0 + 1000.0  # would overflow exp without max subtraction
-    a = ad.log_softmax(Tensor(x0)).data
-    b = ad.log_softmax(Tensor(shifted)).data
-    assert np.max(np.abs(a - b)) < 1e-12
-    # probabilities sum to 1
-    assert np.max(np.abs(np.exp(a).sum(axis=1) - 1.0)) <= 1e-12
-
-
-def test_log_softmax_against_fd():
-    rng = np.random.default_rng(5)
-    x0 = rng.standard_normal((3, 4))
-    w = rng.standard_normal((3, 4))
-    check_against_fd(lambda t: ad.sum_all(ad.mul(ad.log_softmax(t), Tensor(w))), x0)
-
-
-def test_row_col_rows_scatter():
-    # index with the key shapes the model uses for a row, a column and a
-    # row range; the weights make every scattered entry distinguishable
-    rng = np.random.default_rng(6)
-    x0 = rng.standard_normal((4, 3))
-    for key in (2, (slice(None), 1), slice(1, 3)):
-        w = Tensor(np.arange(1.0, 1.0 + x0[key].size).reshape(x0[key].shape))
-        assert np.array_equal(ad.index(Tensor(x0), key).data, x0[key])
-        check_against_fd(lambda t, key=key, w=w: ad.sum_all(ad.mul(ad.index(t, key), w)), x0)
-
-
-def test_transpose_against_fd():
-    rng = np.random.default_rng(7)
-    x0 = rng.standard_normal((3, 4))
-    w = rng.standard_normal((4, 3))
-    check_against_fd(lambda t: ad.sum_all(ad.mul(ad.transpose(t), Tensor(w))), x0)
-
-
 def test_add_rowvec_against_fd():
     rng = np.random.default_rng(8)
     m0 = rng.standard_normal((3, 4))
@@ -181,59 +140,9 @@ def test_add_rowvec_against_fd():
     check_against_fd(lambda t: ad.sum_all(ad.add_rowvec(Tensor(m0), t)), v0)
 
 
-def test_gather_pairs_forward_and_adjoint():
-    # the model's candidate gather: out[r, j] = s[row_idx[r, j], col_idx[r]];
-    # row 1 picks s[1, 1] twice, so its adjoint must accumulate
-    rng = np.random.default_rng(9)
-    s0 = rng.standard_normal((5, 3))
-    row_idx = np.array([[0, 2, 4], [1, 1, 3], [4, 0, 2]])
-    col_idx = np.array([0, 1, 2])
-    key = (row_idx, col_idx[:, None])
-    weights = np.arange(1.0, 10.0).reshape(3, 3)
-
-    def build(t):
-        return ad.sum_all(ad.mul(ad.index(t, key), Tensor(weights)))
-
-    t = Tensor(s0, requires_grad=True)
-    out = ad.index(t, key)
-    for r in range(3):
-        for j in range(3):
-            assert out.data[r, j] == s0[row_idx[r, j], col_idx[r]]
-    (g,) = gradient(build(t), [t])
-    assert g[1, 1] == weights[1, 0] + weights[1, 1]
-    check_against_fd(build, s0)
-
-
-def test_index_basic_key_adjoint_equals_scatter_add():
-    # the basic keys the model takes: a context row range, the true-candidate
-    # column, and a single row; assignment must match np.add.at exactly
-    rng = np.random.default_rng(21)
-    x0 = rng.standard_normal((6, 5))
-    for key in (slice(0, 4), (slice(None), 0), 2, (3, slice(1, 4))):
-        g = rng.standard_normal(x0[key].shape)
-        want = np.zeros_like(x0)
-        np.add.at(want, key, g)
-        (got,) = ad.index(Tensor(x0, requires_grad=True), key).node.back(g)
-        assert np.array_equal(got, want)
-
-
-def test_div_scalar():
-    rng = np.random.default_rng(10)
-    x0 = rng.standard_normal(6)
-    check_against_fd(lambda t: ad.div_scalar(ad.sum_all(t), -7.0), x0)
-    with pytest.raises(DimensionError):
-        ad.div_scalar(Tensor(x0), 0.0)
-
-
-def test_mean_of_identical_values_is_exact():
-    v = np.log(4.0)
-    t = Tensor(np.full(5, v))
-    assert ad.div_scalar(ad.sum_all(t), 5.0).item() == v
-
-
 def test_scale_and_sum_trivials():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    loss = ad.scale(ad.sum_all(x), 0.5)
+    loss = ad.mul(ad.sum_all(x), 0.5)
     assert loss.item() == 7.5
     (g,) = gradient(loss, [x])
     assert np.array_equal(g, np.full((2, 3), 0.5))
@@ -243,7 +152,7 @@ def test_half_squared_norm_gradient_is_w():
     rng = np.random.default_rng(11)
     w0 = rng.standard_normal((4, 3))
     w = Tensor(w0, requires_grad=True)
-    (g,) = gradient(ad.scale(ad.sum_all(ad.mul(w, w)), 0.5), [w])
+    (g,) = gradient(ad.mul(ad.sum_all(ad.mul(w, w)), 0.5), [w])
     assert np.max(np.abs(g - w0)) < 1e-15
 
 
@@ -439,6 +348,122 @@ def test_lstm_causality():
     assert not np.array_equal(base[3], moved[3])
 
 
+def infonce_candidates(rng, lengths, horizons, negatives):
+    """Per sequence, one row per (t, k) pair, horizon-major: the true frame
+    t+k, then distinct other frames of the same sequence."""
+    out = []
+    for n in lengths:
+        rows = []
+        for k in range(1, horizons + 1):
+            for t in range(n - k):
+                others = np.delete(np.arange(n), t + k)
+                rows.append([t + k, *rng.choice(others, size=negatives, replace=False)])
+        out.append(np.array(rows))
+    return out
+
+
+def test_infonce_against_fd():
+    # three unequal sequences, the middle one as short as 2 horizons and 4
+    # candidates allow
+    rng = np.random.default_rng(24)
+    lat, ctx, horizons, lengths = 3, 2, 2, [7, 4, 5]
+    cands = infonce_candidates(rng, lengths, horizons, 3)
+    args = [rng.standard_normal((sum(lengths), lat)), rng.standard_normal((sum(lengths), ctx))]
+    for _ in range(horizons):
+        args += [rng.standard_normal((ctx, lat)), rng.standard_normal(lat)]
+    for pick in range(len(args)):
+        def build(t, pick=pick):
+            inner = [Tensor(a) for a in args]
+            inner[pick] = t
+            heads = list(zip(inner[2::2], inner[3::2]))
+            return ad.infonce(inner[0], inner[1], heads, lengths, cands, 0.7)
+
+        check_against_fd(build, args[pick])
+
+
+def test_gather_pairs_forward_and_adjoint():
+    # row (t, k) of the candidates scores s[idx[r, j], t]; a row that names a
+    # frame twice counts it twice, in the value and in the adjoint
+    rng = np.random.default_rng(9)
+    z0, c0 = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+    head = (Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal(3)))
+    cands = [np.array([[1, 1, 3], [2, 0, 4], [3, 3, 3], [4, 2, 0]])]
+
+    def build(t):
+        return ad.infonce(t, Tensor(c0), [head], [5], cands, 1.0)
+
+    scores = z0 @ (c0[:4] @ head[0].data + head[1].data).T
+    logits = scores[cands[0], np.arange(4)[:, None]]
+    want = -np.mean(logits[:, 0] - np.log(np.exp(logits).sum(axis=1)))
+    assert abs(build(Tensor(z0)).item() - want) < 1e-12
+    check_against_fd(build, z0)
+
+
+def test_mean_of_identical_values_is_exact():
+    # identical latent rows make every score of a row equal, so each of the
+    # 5 terms is -ln 4, and their mean must be ln 4 to the last bit
+    rng = np.random.default_rng(10)
+    head = (Tensor(rng.standard_normal((2, 3))), Tensor(np.zeros(3)))
+    cands = infonce_candidates(rng, [6], 1, 3)
+    loss = ad.infonce(Tensor(np.ones((6, 3))), Tensor(rng.standard_normal((6, 2))),
+                      [head], [6], cands, 1.0)
+    assert loss.item() == np.log(4.0)
+
+
+def test_infonce_rejects_bad_inputs():
+    rng = np.random.default_rng(25)
+    z, c = Tensor(np.ones((9, 3))), Tensor(np.ones((9, 2)))
+    heads = [(Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))]
+    cands = infonce_candidates(rng, [5, 4], 1, 2)
+    ad.infonce(z, c, heads, [5, 4], cands, 1.0)
+    with pytest.raises(DimensionError):
+        ad.infonce(z, c, heads, [5, 3], cands, 1.0)  # lengths do not cover the rows
+    with pytest.raises(DimensionError):
+        ad.infonce(z, c, heads, [5, 4], cands[:1], 1.0)  # a sequence has no candidates
+    with pytest.raises(DimensionError):
+        ad.infonce(z, c, heads, [4, 5], cands, 1.0)  # candidate rows per sequence differ
+    with pytest.raises(DimensionError):
+        ad.infonce(z, Tensor(np.ones((8, 2))), heads, [5, 4], cands, 1.0)
+    with pytest.raises(DimensionError):
+        ad.infonce(z, c, [(Tensor(np.ones((3, 3))), Tensor(np.zeros(3)))], [5, 4], cands, 1.0)
+
+
+def test_every_public_op_has_a_caller_outside_autodiff():
+    """An op the package stops calling fails here instead of lingering.
+    ``mul`` and ``sum_all`` build the scalar losses of the finite-difference
+    tests and are exempt."""
+    import ast
+    from pathlib import Path
+
+    package = Path(ad.__file__).parent
+    public = {node.name for node in ast.parse(Path(ad.__file__).read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text())
+        # the module's local names for autodiff, and the names imported from it
+        modules, imported = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name == "autodiff":
+                        modules.add(alias.asname or alias.name)
+                    elif node.module == "autodiff":
+                        imported.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                    and f.value.id in modules:
+                called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in imported:
+                called.add(f.id)
+    assert public - called - {"mul", "sum_all"} == set()
+
+
 def test_gradient_zeros_for_unused_params():
     used = Tensor(np.ones(3), requires_grad=True)
     unused = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -450,7 +475,7 @@ def test_gradient_zeros_for_unused_params():
 
 def test_gradient_rejects_non_leaf_params():
     x = Tensor(np.ones(3), requires_grad=True)
-    y = ad.scale(x, 2.0)
+    y = ad.mul(x, 2.0)
     with pytest.raises(ContractError):
         gradient(ad.sum_all(y), [y])
 
@@ -458,8 +483,8 @@ def test_gradient_rejects_non_leaf_params():
 def test_gradient_ignores_previous_calls():
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
-    gradient(ad.sum_all(ad.add(a, b)), [a, b])
-    ga, gb = gradient(ad.sum_all(ad.scale(b, 5.0)), [a, b])
+    gradient(ad.sum_all(ad.mul(a, b)), [a, b])
+    ga, gb = gradient(ad.sum_all(ad.mul(b, 5.0)), [a, b])
     assert np.array_equal(ga, np.zeros(3))
     assert np.array_equal(gb, np.full(3, 5.0))
 
@@ -480,7 +505,7 @@ def test_backward_is_deterministic():
 def test_tape_topological_order():
     x = Tensor(np.ones(2), requires_grad=True)
     y = ad.mul(x, x)
-    z = ad.add(y, x)       # diamond: x feeds both y and z
+    z = ad.mul(y, x)       # diamond: x feeds both y and z
     loss = ad.sum_all(z)
     tape = Tape.trace(loss)
     seen = set()

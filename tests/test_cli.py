@@ -213,6 +213,18 @@ def test_probe_checkpoint_arm(corpus_dir, tmp_path, cfg_file, capsys):
     assert captured.out.splitlines()[-1].startswith("federated\tfinal.ckpt\t")
 
 
+@pytest.mark.parametrize("arm", ["a\tb", "a\nb"])
+def test_probe_rejects_a_delimiter_in_a_field(corpus_dir, tmp_path, cfg_file, capsys, arm):
+    report = tmp_path / "probe.tsv"
+    rc = cli.main(["probe", "--config", str(cfg_file), "--random-init", "--arm", arm,
+                   "--manifest", manifest_of(corpus_dir), "--out", str(report)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "delimiter" in err
+    assert not report.exists()
+
+
 def test_probe_requires_source(corpus_dir, cfg_file, capsys):
     rc = cli.main(["probe", "--config", str(cfg_file),
                    "--manifest", manifest_of(corpus_dir)])

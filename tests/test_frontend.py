@@ -74,9 +74,9 @@ def test_stft_finite_for_finite_input():
 # ------------------------------------------------------------------ stack3
 
 def test_stack3_row_counts():
-    assert fe.stack3(np.zeros((10, 256))).num_frames == 3
-    assert fe.stack3(np.zeros((3, 256))).num_frames == 1
-    assert fe.stack3(np.zeros((5, 256))).num_frames == 1
+    assert fe.stack3(np.zeros((10, 256))).shape[0] == 3
+    assert fe.stack3(np.zeros((3, 256))).shape[0] == 1
+    assert fe.stack3(np.zeros((5, 256))).shape[0] == 1
 
 
 def test_stack3_too_short_and_bad_shape():
@@ -89,18 +89,18 @@ def test_stack3_too_short_and_bad_shape():
 def test_stack3_index_oracle():
     rng = np.random.default_rng(2)
     frames = rng.standard_normal((10, 256))
-    seq = fe.stack3(frames)
-    assert seq.x.shape == (3, 768)
+    x = fe.stack3(frames)
+    assert x.shape == (3, 768)
     for i in range(3):
         for j in range(3):
-            assert np.array_equal(seq.x[i, 256 * j:256 * (j + 1)], frames[3 * i + j])
+            assert np.array_equal(x[i, 256 * j:256 * (j + 1)], frames[3 * i + j])
 
 
 def test_waveform_features_shape():
-    seq = fe.waveform_features(tone(1000.0, 16000))
+    x = fe.waveform_features(tone(1000.0, 16000))
     frames = 1 + (16000 - 400) // 160
-    assert seq.x.shape == (frames // 3, 768)
-    assert np.all(np.isfinite(seq.x))
+    assert x.shape == (frames // 3, 768)
+    assert np.all(np.isfinite(x))
 
 
 # --------------------------------------------------------------------- pcm
@@ -216,9 +216,9 @@ def test_resolve_audio_pcm_and_synth(tmp_path):
 
 def test_features_for_record():
     records = fe.synth_corpus(1, 1, 1, seed=3)
-    seq = fe.features_for_record(records[0])
-    assert seq.x.shape[1] == 768
-    assert seq.num_frames >= 10
+    x = fe.features_for_record(records[0])
+    assert x.shape[1] == 768
+    assert x.shape[0] >= 10
 
 
 def test_spectral_frames_separate_speakers_nearest_centroid():

@@ -7,7 +7,7 @@ import pytest
 from fedcpc import autodiff as ad
 from fedcpc import model as m
 from fedcpc.autodiff import Tensor
-from fedcpc.errors import ConfigError, TooShortError
+from fedcpc.errors import ConfigError, DimensionError, TooShortError
 
 
 def tiny_config(**overrides):
@@ -335,24 +335,6 @@ def test_failing_self_check_forces_the_loop(monkeypatch):
     assert bulk.bit_generator.state == loop.bit_generator.state
 
 
-# ------------------------------------------------------------------- scores
-
-def test_prediction_scores_orientation_and_temperature():
-    cfg = tiny_config(temperature=2.0)
-    params = rand_params(cfg, 21)
-    rng = np.random.default_rng(4)
-    steps = 6
-    z = rng.standard_normal((steps, cfg.enc_units))
-    c = rng.standard_normal((steps, cfg.ctx_units))
-    k = 2
-    got = m.prediction_scores(Tensor(z), Tensor(c), params, k, cfg).data
-    w, b = params.heads[k - 1]
-    pred = c[: steps - k] @ w.data + b.data
-    want = (z @ pred.T) / cfg.temperature
-    assert got.shape == (steps, steps - k)
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
 # ----------------------------------------------------------------- infonce
 
 def infonce_oracle(z, c, params, config, rng):
@@ -434,6 +416,50 @@ def test_infonce_uniform_exact_across_geometries():
         assert loss == np.log(n_neg + 1), (k_fut, n_neg, steps)
 
 
+def packed_inputs(cfg, lengths, seed):
+    gen = np.random.default_rng(seed)
+    return (gen.standard_normal((sum(lengths), cfg.enc_units)),
+            gen.standard_normal((sum(lengths), cfg.ctx_units)))
+
+
+def test_packed_infonce_is_the_mean_of_sequence_losses_bitwise():
+    cfg = tiny_config(future_steps=2, num_negatives=3, temperature=0.7)
+    params = rand_params(cfg, 34)
+    lengths = [9, cfg.min_frames(), 6]
+    z, c = packed_inputs(cfg, lengths, 17)
+    packed = m.infonce_loss(Tensor(z), Tensor(c), params, cfg,
+                            *(np.random.default_rng(s) for s in range(3)),
+                            lengths=lengths).item()
+    total, start = None, 0
+    for n, seed in zip(lengths, range(3)):
+        rows = slice(start, start + n)
+        start += n
+        loss = m.infonce_loss(Tensor(z[rows]), Tensor(c[rows]), params, cfg,
+                              np.random.default_rng(seed)).item()
+        total = loss if total is None else total + loss
+    assert packed == total * (1.0 / len(lengths))
+
+
+def test_infonce_needs_one_generator_per_sequence():
+    cfg = tiny_config()
+    params = rand_params(cfg, 35)
+    z, c = packed_inputs(cfg, [5, 6], 18)
+    for rngs in ([np.random.default_rng(0)], [np.random.default_rng(i) for i in range(3)]):
+        with pytest.raises(DimensionError):
+            m.infonce_loss(Tensor(z), Tensor(c), params, cfg, *rngs, lengths=[5, 6])
+
+
+def test_batch_records_one_infonce_node():
+    cfg = tiny_config()  # two encoder layers and two LSTM layers
+    params = rand_params(cfg, 36)
+    x = np.random.default_rng(19).standard_normal((15, cfg.input_dim))
+    loss = m.batch_loss(x, [5, 4, 6], params, cfg,
+                        [np.random.default_rng(i) for i in range(3)])
+    ops = [node.op for node in ad.Tape.trace(loss).nodes]
+    assert ops.count("infonce") == 1 and ops[-1] == "infonce"
+    assert len(ops) == 3 * cfg.enc_layers + cfg.ctx_layers + 1
+
+
 def test_infonce_too_short_errors():
     cfg = tiny_config(future_steps=3, num_negatives=3)
     params = rand_params(cfg, 44)
@@ -509,13 +535,3 @@ def test_utterance_loss_near_ln_n_at_init():
     loss = m.utterance_loss(feats, params, cfg, np.random.default_rng(4)).item()
     assert abs(loss - np.log(8)) / np.log(8) < 0.05
 
-
-def test_utterance_loss_accepts_feature_sequence():
-    from fedcpc.frontend import FeatureSequence
-
-    cfg = tiny_config()
-    params = rand_params(cfg, 48)
-    gen = np.random.default_rng(16)
-    feats = FeatureSequence(gen.standard_normal((7, cfg.input_dim)))
-    loss = m.utterance_loss(feats, params, cfg, np.random.default_rng(5))
-    assert np.isfinite(loss.item())

@@ -171,6 +171,12 @@ def test_probe_report_format():
     assert int(n) == 640
 
 
+@pytest.mark.parametrize("checkpoint", ["a\tb.ckpt", "a\nb.ckpt"])
+def test_probe_report_rejects_a_delimiter_in_the_checkpoint_name(checkpoint):
+    with pytest.raises(ConfigError):
+        pr.render_probe_report([pr.ProbeResult("pretrained", checkpoint, 0.5, 3)])
+
+
 def test_evaluate_weights_end_to_end(corpus):
     task = pr.build_task(corpus, 0.2)
     w = m.flatten(m.init_params(SMALL, 7))
