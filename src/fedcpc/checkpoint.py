@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
+from .files import atomic_writer
 from .model import CpcConfig, param_shapes
 
 MAGIC = "FEDCPC-CKPT-1"
@@ -69,14 +70,17 @@ def save_checkpoint(path, config: CpcConfig, weights: np.ndarray,
     for name, shape in shapes:
         lines.append(f"param {name} " + " ".join(str(d) for d in shape))
     lines.append("data")
-    header = ("\n".join(lines) + "\n").encode("ascii")
-    payload = weights.astype("<f8").tobytes()
-    Path(path).write_bytes(header + payload)
+    with atomic_writer(path, CheckpointError) as f:
+        f.write(("\n".join(lines) + "\n").encode("ascii"))
+        f.write(weights.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[CpcConfig, np.ndarray, dict[str, str]]:
     """Read a checkpoint; returns (config, flat weights, metadata)."""
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"cannot read {path}: {e.strerror or e}") from None
     sep = b"\ndata\n"
     cut = blob.find(sep)
     if cut < 0:

@@ -31,6 +31,7 @@ from . import model as m
 from . import probe as probe_mod
 from .checkpoint import load_checkpoint
 from .errors import FedcpcError
+from .files import atomic_writer
 from .frontend import synth_corpus
 from .silo import load_manifest, partition_by_speaker, silo_report, write_manifest
 
@@ -48,6 +49,15 @@ def _load_cfg(args) -> dict[str, object]:
     cfg = cfg_mod.load_config(args.config, overrides)
     cfg_mod.ensure_runnable(cfg)
     return cfg
+
+
+def _emit(out, text: str) -> None:
+    """Write a report to the ``--out`` path, or to stdout without one."""
+    if out:
+        with atomic_writer(out) as f:
+            f.write(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -73,10 +83,7 @@ def cmd_silo(args) -> int:
     records = load_manifest(args.manifest)
     silos = partition_by_speaker(records)
     report = silo_report(silos)
-    if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
-    else:
-        sys.stdout.write(report)
+    _emit(args.out, report)
     print(f"{len(silos)} speakers, {len(records)} utterances", file=sys.stderr)
     return 0
 
@@ -131,10 +138,7 @@ def cmd_probe(args) -> int:
                                         cfg_mod.probe_config(cfg), base_dir)
     report = probe_mod.render_probe_report([result],
                                            header_comments=cfg_mod.config_comment_lines(cfg))
-    if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
-    else:
-        sys.stdout.write(report)
+    _emit(args.out, report)
     print(f"{arm}: accuracy {result.accuracy:.4f} on {result.n_eval} utterances",
           file=sys.stderr)
     return 0
@@ -144,10 +148,7 @@ def cmd_gradcheck(args) -> int:
     cfg = _load_cfg(args)
     reports = gradcheck_mod.run_gradcheck(cfg_mod.cpc_config(cfg), cfg["seed"])
     table = gradcheck_mod.render_report(reports)
-    if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
-    else:
-        sys.stdout.write(table)
+    _emit(args.out, table)
     failed = [r.group for r in reports if not r.passed]
     if failed:
         print(f"gradcheck FAILED for {', '.join(failed)}", file=sys.stderr)

@@ -25,6 +25,7 @@ from typing import Sequence
 from .central import CentralConfig
 from .errors import ConfigError
 from .federated import SERVER_OPTS, FedConfig
+from .files import atomic_writer
 from .model import CpcConfig
 from .probe import ProbeConfig
 from .rng import DEFAULT_SEED
@@ -171,7 +172,8 @@ def render_config(cfg: dict[str, object], provenance: bool = True) -> str:
 
 
 def write_config(path, cfg: dict[str, object]) -> None:
-    Path(path).write_text(render_config(cfg), encoding="utf-8")
+    with atomic_writer(path) as f:
+        f.write(render_config(cfg).encode("utf-8"))
 
 
 def config_comment_lines(cfg: dict[str, object]) -> list[str]:

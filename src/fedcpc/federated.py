@@ -32,6 +32,7 @@ from . import model as m
 from .autodiff import Tensor, gradient
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, NonFiniteUpdateError, NonFiniteValueError, TooShortError
+from .files import atomic_writer
 from .frontend import features_for_record
 from .optim import AdamConfig, AdamState, adam_step
 from .rng import DEFAULT_SEED, TAG_ASSIGN, TAG_SELECT, substream, utterance_rng
@@ -126,7 +127,8 @@ def render_metrics(rows, header_comments: list[str] | None = None) -> str:
 
 
 def write_metrics(path, rows, header_comments: list[str] | None = None) -> None:
-    Path(path).write_text(render_metrics(rows, header_comments), encoding="utf-8")
+    with atomic_writer(path) as f:
+        f.write(render_metrics(rows, header_comments).encode("utf-8"))
 
 
 def select_clients(active: list[int], clients_per_round: int,

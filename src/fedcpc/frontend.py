@@ -85,14 +85,16 @@ def save_pcm(path, w: Waveform) -> None:
 
 
 def load_pcm(path, sample_rate_hz: int = SAMPLE_RATE) -> Waveform:
-    blob = Path(path).read_bytes()
     sidecar = Path(str(path) + ".len")
     if not sidecar.exists():
         raise ManifestError(f"{path}: missing {sidecar.name} sidecar")
     try:
         count = int(sidecar.read_text().strip())
+        blob = Path(path).read_bytes()
     except ValueError:
         raise ManifestError(f"{sidecar}: sample count is not an integer") from None
+    except OSError as e:
+        raise ManifestError(f"cannot read {e.filename}: {e.strerror or e}") from None
     if len(blob) != 2 * count:
         raise ManifestError(f"{path}: {len(blob)} bytes but sidecar declares {count} samples")
     samples = np.frombuffer(blob, dtype="<i2").astype(np.float64) / 32768.0

@@ -69,18 +69,44 @@ def build_task(records, eval_fraction: float = 0.2) -> ProbeTask:
     return ProbeTask(classes=classes, train_records=train, eval_records=eval_)
 
 
+# feature rows per packed forward pass of extract_contexts: bounds the
+# features, latents and LSTM state alive at once
+_CHUNK_ROWS = 256
+
+
+def _feature_chunks(records, base_dir):
+    """Feature matrices of consecutive records, in lists of at most
+    ``_CHUNK_ROWS`` rows in all; a longer utterance is a list of its own."""
+    chunk: list[np.ndarray] = []
+    filled = 0
+    for record in records:
+        feats = features_for_record(record, base_dir)
+        if chunk and filled + len(feats) > _CHUNK_ROWS:
+            yield chunk
+            chunk, filled = [], 0
+        chunk.append(feats)
+        filled += len(feats)
+    if chunk:
+        yield chunk
+
+
 def extract_contexts(weights: np.ndarray, cpc_config: m.CpcConfig, records,
                      base_dir=None) -> np.ndarray:
     """Mean-pooled context vector per utterance, rows in record order.
 
-    Pure forward pass; nothing is updated.
+    Pure forward pass; nothing is updated. Each chunk of consecutive
+    records (:func:`_feature_chunks`) runs the encoder once and the packed
+    LSTM once.
     """
     params = m.unflatten(cpc_config, weights, requires_grad=False)
     rows = []
-    for record in records:
-        feats = features_for_record(record, base_dir)
-        c = m.contextualize(m.encode(feats, params), params)
-        rows.append(c.data.mean(axis=0))
+    for chunk in _feature_chunks(records, base_dir):
+        lengths = [len(f) for f in chunk]
+        x = np.concatenate(chunk)
+        chunk.clear()  # the concatenation is the one copy kept
+        c = m.contextualize(m.encode(x, params), params, lengths).data
+        ends = np.cumsum(lengths).tolist()
+        rows.extend(c[end - n:end].mean(axis=0) for n, end in zip(lengths, ends))
     return np.vstack(rows)
 
 

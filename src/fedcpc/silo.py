@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ManifestError
+from .files import atomic_writer
 
 _FIELDS = ("utterance_id", "speaker_id", "chapter_id", "audio_ref", "duration_s")
 
@@ -81,7 +82,8 @@ def render_manifest(records, header_comments: list[str] | None = None) -> str:
 
 
 def write_manifest(path, records, header_comments: list[str] | None = None) -> None:
-    Path(path).write_text(render_manifest(records, header_comments), encoding="utf-8")
+    with atomic_writer(path, ManifestError) as f:
+        f.write(render_manifest(records, header_comments).encode("utf-8"))
 
 
 @dataclass

@@ -8,6 +8,8 @@ import pytest
 
 from fedcpc import cli
 from fedcpc.checkpoint import file_sha256, load_checkpoint
+from fedcpc.frontend import save_pcm, synth_waveform
+from fedcpc.silo import UtteranceRecord, load_manifest, write_manifest
 
 TINY_CFG = """\
 seed=42
@@ -46,6 +48,14 @@ def corpus_dir(tmp_path, cfg_file):
 
 def manifest_of(corpus_dir):
     return str(corpus_dir / "manifest.tsv")
+
+
+def assert_one_line_error(rc, err, *needles):
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
 
 
 # ------------------------------------------------------------------- synth
@@ -231,6 +241,45 @@ def test_probe_requires_source(corpus_dir, cfg_file, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "--checkpoint or --random-init" in captured.err
+
+
+def test_probe_missing_checkpoint_is_a_one_line_error(corpus_dir, tmp_path, cfg_file, capsys):
+    rc = cli.main(["probe", "--config", str(cfg_file), "--manifest", manifest_of(corpus_dir),
+                   "--checkpoint", str(tmp_path / "missing.ckpt")])
+    assert_one_line_error(rc, capsys.readouterr().err, "missing.ckpt")
+
+
+@pytest.mark.parametrize("command", ["pretrain", "probe"])
+def test_missing_pcm_file_is_a_one_line_error(corpus_dir, tmp_path, cfg_file, capsys, command):
+    pcm = tmp_path / "pcm"
+    pcm.mkdir()
+    records = []
+    for r in load_manifest(manifest_of(corpus_dir)):
+        save_pcm(pcm / f"{r.utterance_id}.pcm", synth_waveform(r.audio_ref))
+        records.append(UtteranceRecord(r.utterance_id, r.speaker_id, r.chapter_id,
+                                       f"{r.utterance_id}.pcm", r.duration_s))
+    write_manifest(pcm / "manifest.tsv", records)
+    missing = records[0].audio_ref
+    (pcm / missing).unlink()  # its .len sidecar stays
+    argv = [command, "--config", str(cfg_file), "--manifest", str(pcm / "manifest.tsv")]
+    argv += (["--out", str(tmp_path / "run")] if command == "pretrain" else ["--random-init"])
+    rc = cli.main(argv)
+    assert_one_line_error(rc, capsys.readouterr().err, missing)
+
+
+@pytest.mark.parametrize("command", ["probe", "silo", "gradcheck"])
+def test_out_in_a_missing_directory_is_a_one_line_error(corpus_dir, tmp_path, cfg_file,
+                                                       capsys, command):
+    out = tmp_path / "nodir" / "report.tsv"
+    argv = [command, "--config", str(cfg_file), "--out", str(out)]
+    if command != "gradcheck":
+        argv += ["--manifest", manifest_of(corpus_dir)]
+    if command == "probe":
+        argv.append("--random-init")
+    capsys.readouterr()
+    rc = cli.main(argv)
+    assert_one_line_error(rc, capsys.readouterr().err, str(out))
+    assert not out.parent.exists()
 
 
 # --------------------------------------------------------------- gradcheck

@@ -1,13 +1,16 @@
 """Tests for the linear probe: task splits, context extraction, and the
 logistic-regression trainer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fedcpc import model as m
 from fedcpc import probe as pr
 from fedcpc.errors import ConfigError
-from fedcpc.frontend import features_for_record, synth_corpus
+from fedcpc.frontend import SAMPLE_RATE, features_for_record, synth_corpus, synth_spec
+from fedcpc.silo import UtteranceRecord
 
 SMALL = m.CpcConfig(enc_units=16, ctx_units=16, future_steps=2, num_negatives=3)
 
@@ -86,14 +89,112 @@ def test_extract_contexts_zero_weights_zero_output(corpus):
     assert np.array_equal(contexts, np.zeros((2, SMALL.ctx_units)))
 
 
+def per_utterance_contexts(w, config, records):
+    """The unpacked oracle: one encoder pass and one LSTM sequence per
+    utterance, then its mean."""
+    params = m.unflatten(config, w, requires_grad=False)
+    return np.vstack([m.contextualize(m.encode(features_for_record(r), params),
+                                      params).data.mean(axis=0) for r in records])
+
+
 def test_extract_contexts_matches_composition_oracle(corpus):
+    # both utterances fit one chunk, so extraction is exactly this packed
+    # composition; the packed recurrence multiplies a block where the
+    # per-utterance one multiplies a row, so that oracle agrees to rounding
     w = m.flatten(m.init_params(SMALL, 6))
     got = pr.extract_contexts(w, SMALL, corpus[:2])
     params = m.unflatten(SMALL, w, requires_grad=False)
-    for i, record in enumerate(corpus[:2]):
-        feats = features_for_record(record)
-        c = m.contextualize(m.encode(feats, params), params).data.mean(axis=0)
-        assert np.array_equal(got[i], c)
+    feats = [features_for_record(r) for r in corpus[:2]]
+    lengths = [len(f) for f in feats]
+    assert sum(lengths) <= pr._CHUNK_ROWS
+    c = m.contextualize(m.encode(np.concatenate(feats), params), params, lengths).data
+    assert np.array_equal(got[0], c[:lengths[0]].mean(axis=0))
+    assert np.array_equal(got[1], c[lengths[0]:].mean(axis=0))
+    assert np.max(np.abs(got - per_utterance_contexts(w, SMALL, corpus[:2]))) <= 1e-12
+
+
+def long_record(seconds: int = 9) -> UtteranceRecord:
+    ref = synth_spec("temporal", 51, 1, 0, 99, seconds * SAMPLE_RATE)
+    return UtteranceRecord("spk001-ch00-0099", "spk001", "ch00", ref, float(seconds))
+
+
+@pytest.fixture(scope="module")
+def several_chunks(corpus):
+    """Mixed-length records over several chunks, one of them longer than a
+    chunk's budget, and their row counts."""
+    records = corpus[:7] + [long_record()] + corpus[7:]
+    lengths = [len(features_for_record(r)) for r in records]
+    assert max(lengths) > pr._CHUNK_ROWS and sum(lengths) > 4 * pr._CHUNK_ROWS
+    assert len(set(lengths)) > 5
+    return records, lengths
+
+
+def test_packed_extraction_matches_the_per_utterance_oracle(several_chunks):
+    records, _ = several_chunks
+    w = m.flatten(m.init_params(m.CpcConfig(), 8))
+    got = pr.extract_contexts(w, m.CpcConfig(), records)
+    want = per_utterance_contexts(w, m.CpcConfig(), records)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_extract_contexts_rows_follow_record_order(several_chunks):
+    records, _ = several_chunks
+    w = m.flatten(m.init_params(SMALL, 9))
+    got = pr.extract_contexts(w, SMALL, records)
+    perm = np.random.default_rng(0).permutation(len(records))
+    shuffled = pr.extract_contexts(w, SMALL, [records[i] for i in perm])
+    # chunk boundaries move with the order, so rows agree to rounding
+    assert np.max(np.abs(shuffled - got[perm])) <= 1e-12
+    gaps = np.abs(got[:, None, :] - got[None, :, :]).max(axis=2)
+    assert gaps[~np.eye(len(records), dtype=bool)].min() > 1e-6
+
+
+def test_probe_wraps_see_every_record_and_every_chunk(several_chunks, monkeypatch):
+    # perfbench counts frontend calls per utterance through the probe
+    # module's features_for_record and times model.contextualize
+    records, lengths = several_chunks
+    feature_calls, context_rows = [], []
+    features, contextualize = pr.features_for_record, m.contextualize
+
+    def counting_features(record, base_dir=None):
+        feature_calls.append(record.utterance_id)
+        return features(record, base_dir)
+
+    def counting_contextualize(z, params, lengths=None):
+        context_rows.append(list(lengths))
+        return contextualize(z, params, lengths)
+
+    monkeypatch.setattr(pr, "features_for_record", counting_features)
+    monkeypatch.setattr(m, "contextualize", counting_contextualize)
+    pr.extract_contexts(m.flatten(m.init_params(SMALL, 1)), SMALL, records)
+    assert feature_calls == [r.utterance_id for r in records]
+    # consecutive records, a new chunk whenever the next would overflow it
+    chunks, filled = [[]], 0
+    for n in lengths:
+        if chunks[-1] and filled + n > pr._CHUNK_ROWS:
+            chunks.append([])
+            filled = 0
+        chunks[-1].append(n)
+        filled += n
+    assert context_rows == chunks
+    assert len(chunks) < len(records)
+
+
+def extraction_peak_bytes(records) -> int:
+    w = m.flatten(m.init_params(m.CpcConfig(), 2))
+    tracemalloc.start()
+    try:
+        pr.extract_contexts(w, m.CpcConfig(), records)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extraction_memory_is_bounded_by_the_chunk_not_the_split():
+    records = synth_corpus(4, 1, 10, seed=52)
+    few, many = extraction_peak_bytes(records[:4]), extraction_peak_bytes(records)
+    assert many <= 1.5 * few, (few, many)
 
 
 def test_extract_contexts_config_mismatch(corpus):
