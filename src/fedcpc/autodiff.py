@@ -10,17 +10,16 @@ scalar loss (iterative post-order), walks it in reverse visiting each node
 exactly once, and returns the adjoints of the requested leaf tensors. Tensors
 carry no gradient state, so one call never sees another's results.
 
-The recurrent context encoder is one :func:`lstm_layer` node per layer: it
-runs every sequence of a client batch, packed step-major, forward and back
-through time inside its closure. The contrastive loss is one :func:`infonce`
-node per client batch, with a hand-derived adjoint.
+The model records one hand-derived node per layer: :func:`dense_relu` for
+the whole frame encoder, :func:`lstm_layer` per LSTM layer (every sequence
+of a client batch, packed, through time inside its closure) and
+:func:`infonce` for the contrastive loss of a client batch.
 
 The ops are the ones the model calls, plus :func:`mul` and :func:`sum_all`,
 which the finite-difference tests use to reduce op outputs to a scalar.
 
-Everything is float64. Broadcasting is restricted to scalar-with-tensor; the
-one sanctioned structured broadcast is :func:`add_rowvec` (bias over matrix
-rows), which has its own explicit adjoint.
+Everything is float64. :func:`mul` broadcasts only scalar-with-tensor; the
+layer nodes add their biases to every row themselves.
 """
 
 from __future__ import annotations
@@ -34,6 +33,12 @@ from .errors import ContractError, DimensionError, NonFiniteValueError
 Array = np.ndarray
 
 
+def _finite(arr: Array) -> Array:
+    if not np.isfinite(arr).all():
+        raise NonFiniteValueError("tensor entries must be finite (got NaN or Inf)")
+    return arr
+
+
 class Tensor:
     """Dense float64 array, optionally the output of a recorded op.
 
@@ -44,10 +49,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise NonFiniteValueError("tensor entries must be finite (got NaN or Inf)")
-        self.data = arr
+        self.data = _finite(np.asarray(data, dtype=np.float64))
         self.requires_grad = bool(requires_grad)
         self.node: TapeNode | None = None
 
@@ -117,9 +119,7 @@ class Tape:
 
 
 def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_data, back) -> Tensor:
@@ -157,22 +157,6 @@ def gradient(loss: Tensor, params: Sequence[Tensor]) -> list[Array]:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    out = a.data @ b.data
-
-    def back(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
-
-    return _record("matmul", (a, b), out, back)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     # Same shape, or one side scalar; nothing broader is supported on purpose.
@@ -189,14 +173,6 @@ def mul(a, b) -> Tensor:
     return _record("mul", (a, b), out, back)
 
 
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-    # Subgradient at 0 is taken as 0.
-    mask = a.data > 0.0
-    return _record("relu", (a,), out, lambda g: (g * mask,))
-
-
 def sum_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = a.data.sum()
@@ -207,17 +183,39 @@ def sum_all(a: Tensor) -> Tensor:
     return _record("sum", (a,), out, back)
 
 
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a 1-D vector to every row of a matrix (bias broadcast)."""
-    m, v = _as_tensor(m), _as_tensor(v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise DimensionError(f"add_rowvec: incompatible shapes {m.shape} and {v.shape}")
-    out = m.data + v.data
+def dense_relu(x: Tensor, layers) -> Tensor:
+    """The feed-forward stack h <- relu(h @ W + b) for each (W, b) of
+    ``layers`` in turn, from h = ``x``, as one tape node.
+
+    The node keeps each layer's output; the closure walks the layers back,
+    masking the adjoint where the output is not positive (the subgradient at
+    0 is taken as 0), and returns the adjoints of ``x`` and of every W and b.
+    ``g @ W.T`` is formed only where the layer's input needs an adjoint.
+    """
+    x = _as_tensor(x)
+    layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
+    if x.ndim != 2 or not layers:
+        raise DimensionError(f"dense_relu needs a 2-D input and at least one layer, "
+                             f"got input shape {x.shape}")
+    hs = [x.data]  # the input, then every layer's output
+    for w, b in layers:
+        if w.ndim != 2 or w.shape[0] != hs[-1].shape[1] or b.shape != (w.shape[1],):
+            raise DimensionError(f"dense_relu: layer W {w.shape}, b {b.shape} does not "
+                                 f"take {hs[-1].shape[1]} input columns")
+        h = hs[-1] @ w.data
+        h += b.data
+        # relu would hide a -inf pre-activation, so it is checked here
+        hs.append(np.maximum(_finite(h), 0.0, out=h))
 
     def back(g):
-        return g, g.sum(axis=0)
+        grads = []
+        for j in range(len(layers) - 1, -1, -1):
+            g = g * (hs[j + 1] > 0.0)
+            grads += [g.sum(axis=0), hs[j].T @ g]
+            g = g @ layers[j][0].data.T if j or x.requires_grad else None
+        return g, *reversed(grads)
 
-    return _record("add_rowvec", (m, v), out, back)
+    return _record("dense_relu", (x, *(t for pair in layers for t in pair)), hs[-1], back)
 
 
 def _sigmoid(x: Array, out: Array | None = None) -> Array:

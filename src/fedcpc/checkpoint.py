@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError
 from .files import atomic_writer
-from .model import CpcConfig, param_shapes
+from .model import CpcConfig, param_count, param_shapes
 
 MAGIC = "FEDCPC-CKPT-1"
 
@@ -55,8 +57,7 @@ def save_checkpoint(path, config: CpcConfig, weights: np.ndarray,
                     meta: dict[str, str] | None = None) -> None:
     """Write weights (the flat vector) plus config and extra metadata."""
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    shapes = param_shapes(config)
-    expected = sum(int(np.prod(s)) for _, s in shapes)
+    expected = param_count(config)
     if weights.shape != (expected,):
         raise CheckpointError(f"weight vector has {weights.size} entries, config needs {expected}")
     entries = dict(config_meta(config))
@@ -67,7 +68,7 @@ def save_checkpoint(path, config: CpcConfig, weights: np.ndarray,
     lines = [MAGIC]
     for key in sorted(entries):
         lines.append(f"meta {key} {entries[key]}")
-    for name, shape in shapes:
+    for name, shape in param_shapes(config):
         lines.append(f"param {name} " + " ".join(str(d) for d in shape))
     lines.append("data")
     with atomic_writer(path, CheckpointError) as f:
@@ -105,9 +106,10 @@ def load_checkpoint(path) -> tuple[CpcConfig, np.ndarray, dict[str, str]]:
         else:
             raise CheckpointError(f"{path}: unexpected header line {line!r}")
     config = config_from_meta(meta)
-    if declared != param_shapes(config):
+    # compared lazily: a claim of more layers than the header lists stops early
+    if any(a != b for a, b in zip_longest(declared, param_shapes(config))):
         raise CheckpointError(f"{path}: param table disagrees with embedded config")
-    expected = sum(int(np.prod(s)) for _, s in declared)
+    expected = sum(math.prod(s) for _, s in declared)
     if len(payload) != expected * 8:
         raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, expected {expected * 8}")
     weights = np.frombuffer(payload, dtype="<f8").astype(np.float64)

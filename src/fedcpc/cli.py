@@ -11,8 +11,7 @@ Subcommands:
 Every artifact embeds the serialized config that produced it; rerunning the
 same config reproduces the artifact. Diagnostics go to stderr; the exit code
 is 0 exactly when the command succeeded. Setting FEDCPC_DETERMINISTIC=1
-forces serial execution and zeroes wall-clock fields so logs from repeated
-runs are byte-identical.
+zeroes wall-clock fields so logs from repeated runs are byte-identical.
 """
 
 from __future__ import annotations

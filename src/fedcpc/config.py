@@ -158,6 +158,8 @@ def load_config(path=None, overrides: Sequence[str] = ()) -> dict[str, object]:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as e:
             raise ConfigError(str(e)) from e
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     return parse_config("\n".join([text, *overrides]))
 
 

@@ -42,7 +42,7 @@ SERVER_OPTS = ("adam", "plain")
 
 
 def deterministic_mode() -> bool:
-    """Whether FEDCPC_DETERMINISTIC asks for serial, clock-free runs."""
+    """Whether FEDCPC_DETERMINISTIC asks for clock-free runs."""
     return os.environ.get("FEDCPC_DETERMINISTIC", "") not in ("", "0")
 
 
@@ -267,8 +267,6 @@ def run_rounds(streams: list[ClientStream], fed: FedConfig, cpc_config: m.CpcCon
                out_dir=None, workers: int = 1, base_dir=None,
                checkpoint_meta: dict[str, str] | None = None) -> RunResult:
     """The single-pass round loop; stops at rounds_max or data exhaustion."""
-    if deterministic_mode():
-        workers = 1
     state = ServerState.fresh(m.flatten(m.init_params(cpc_config, fed.seed)))
     result = RunResult(weights=state.weights)
     ckpt_every = max(1, fed.rounds_max // 10)

@@ -12,8 +12,9 @@ same utterance:
 The mean over horizons keeps the uniform-score value at ln(N) regardless of
 K, so freshly initialized models start near ln(N).
 
-A client batch is one graph (:func:`batch_loss`) of eight tape nodes for the
-desk model: the encoder runs once over the concatenated frames of all its
+A client batch is one graph (:func:`batch_loss`) of one tape node per layer,
+three for the desk model: the encoder is one node
+(:func:`fedcpc.autodiff.dense_relu`) over the concatenated frames of all its
 utterances, each LSTM layer is one packed node over all of them, and InfoNCE
 is one node (:func:`fedcpc.autodiff.infonce`) over every utterance's rows.
 An utterance's negatives for every (t, k) pair are drawn in one bulk call
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -107,28 +109,28 @@ class ModelParams:
         return list(self.named.values())
 
 
-def param_shapes(config: CpcConfig) -> list[tuple[str, tuple[int, ...]]]:
+def param_shapes(config: CpcConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Parameter names and shapes, in flattening order: the one table of the
-    parameter layout. Every matrix has its fan-in as its first dimension."""
-    shapes: list[tuple[str, tuple[int, ...]]] = []
+    parameter layout. Every matrix has its fan-in as its first dimension.
+    The entries are yielded lazily, so a reader can stop at the first one
+    that disagrees with a claimed table."""
     in_dim = config.input_dim
     for i in range(config.enc_layers):
-        shapes.append((f"enc.{i}.W", (in_dim, config.enc_units)))
-        shapes.append((f"enc.{i}.b", (config.enc_units,)))
+        yield f"enc.{i}.W", (in_dim, config.enc_units)
+        yield f"enc.{i}.b", (config.enc_units,)
         in_dim = config.enc_units
     for i in range(config.ctx_layers):
-        shapes.append((f"ar.{i}.Wx", (in_dim, 4 * config.ctx_units)))
-        shapes.append((f"ar.{i}.Wh", (config.ctx_units, 4 * config.ctx_units)))
-        shapes.append((f"ar.{i}.b", (4 * config.ctx_units,)))
+        yield f"ar.{i}.Wx", (in_dim, 4 * config.ctx_units)
+        yield f"ar.{i}.Wh", (config.ctx_units, 4 * config.ctx_units)
+        yield f"ar.{i}.b", (4 * config.ctx_units,)
         in_dim = config.ctx_units
     for k in range(1, config.future_steps + 1):
-        shapes.append((f"head.{k}.W", (config.ctx_units, config.enc_units)))
-        shapes.append((f"head.{k}.b", (config.enc_units,)))
-    return shapes
+        yield f"head.{k}.W", (config.ctx_units, config.enc_units)
+        yield f"head.{k}.b", (config.enc_units,)
 
 
 def param_count(config: CpcConfig) -> int:
-    return sum(int(np.prod(s)) for _, s in param_shapes(config))
+    return sum(math.prod(s) for _, s in param_shapes(config))
 
 
 def init_params(config: CpcConfig, seed: int) -> ModelParams:
@@ -162,28 +164,21 @@ def unflatten(config: CpcConfig, vec: np.ndarray, requires_grad: bool = True) ->
     named = {}
     offset = 0
     for name, shape in param_shapes(config):
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         named[name] = Tensor(vec[offset:offset + n].reshape(shape).copy(),
                              requires_grad=requires_grad)
         offset += n
     return ModelParams(named)
 
 
-def _as_feature_matrix(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
 def encode(x, params: ModelParams) -> Tensor:
-    """Frame-local feed-forward encoder: T x input_dim -> T x enc_units."""
-    h = _as_feature_matrix(x)
-    if h.ndim != 2 or h.shape[1] != params.enc[0][0].shape[0]:
-        raise ConfigError(f"encoder expects input with {params.enc[0][0].shape[0]} columns, "
-                          f"got shape {h.shape}")
-    for w, b in params.enc:
-        h = ad.relu(ad.add_rowvec(ad.matmul(h, w), b))
-    return h
+    """Frame-local feed-forward encoder: T x input_dim -> T x enc_units,
+    one :func:`fedcpc.autodiff.dense_relu` node for all its layers."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    width = params.enc[0][0].shape[0]
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ConfigError(f"encoder expects input with {width} columns, got shape {x.shape}")
+    return ad.dense_relu(x, params.enc)
 
 
 def contextualize(z: Tensor, params: ModelParams, lengths=None) -> Tensor:

@@ -66,6 +66,8 @@ def load_manifest(path) -> list[UtteranceRecord]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ManifestError(str(e)) from e
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     return parse_manifest(text)
 
 

@@ -50,48 +50,70 @@ def test_backward_needs_scalar():
         gradient(ad.mul(t, 2.0), [t])
 
 
-def test_matmul_against_fd():
+def dense_layers(rng, widths):
+    """(W, b) arrays of a feed-forward stack through the given widths."""
+    return [(rng.standard_normal((n_in, n_out)), rng.standard_normal(n_out) * 0.5)
+            for n_in, n_out in zip(widths, widths[1:])]
+
+
+def test_dense_relu_matches_numpy_chain():
     rng = np.random.default_rng(0)
-    a0 = rng.standard_normal((3, 4))
-    b0 = rng.standard_normal((4, 2))
+    x0 = rng.standard_normal((6, 4))
+    layers = dense_layers(rng, [4, 5, 3])
+    want = x0
+    for w, b in layers:
+        want = np.maximum(want @ w + b, 0.0)
+    got = ad.dense_relu(Tensor(x0), [(Tensor(w), Tensor(b)) for w, b in layers])
+    assert np.array_equal(got.data, want)
 
-    check_against_fd(lambda a: ad.sum_all(ad.matmul(a, Tensor(b0))), a0)
-    check_against_fd(lambda b: ad.sum_all(ad.matmul(Tensor(a0), b)), b0)
 
-
-def test_matmul_identity():
+def test_dense_relu_against_fd():
+    # a readout weights every output entry, so each adjoint entry differs;
+    # with these draws no pre-activation lies within a step of relu's kink
     rng = np.random.default_rng(1)
-    a = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    out = ad.matmul(a, Tensor(np.eye(4)))
-    assert np.array_equal(out.data, a.data)
-    (g,) = gradient(ad.sum_all(out), [a])
-    assert np.array_equal(g, np.ones((4, 4)))
+    args = [rng.standard_normal((5, 4))]
+    for w, b in dense_layers(rng, [4, 6, 3]):
+        args += [w, b]
+    readout = Tensor(rng.standard_normal((5, 3)))
+    for pick in range(len(args)):
+        def build(t, pick=pick):
+            inner = [Tensor(a) for a in args]
+            inner[pick] = t
+            layers = list(zip(inner[1::2], inner[2::2]))
+            return ad.sum_all(ad.mul(ad.dense_relu(inner[0], layers), readout))
+
+        check_against_fd(build, args[pick])
 
 
-def test_matmul_constant_operand_gets_no_adjoint():
+def test_dense_relu_constant_input_gets_no_adjoint():
     rng = np.random.default_rng(22)
-    a0, b0 = rng.standard_normal((5, 3)), rng.standard_normal((3, 2))
+    x0 = rng.standard_normal((5, 3))
+    layers = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+              for w, b in dense_layers(rng, [3, 4, 2])]
     g = rng.standard_normal((5, 2))
-    b = Tensor(b0, requires_grad=True)
-    ga, gb = ad.matmul(Tensor(a0), b).node.back(g)
-    assert ga is None
-    # the adjoint that is computed is the same product, bit for bit
-    _, gb_both = ad.matmul(Tensor(a0, requires_grad=True), b).node.back(g)
-    assert np.array_equal(gb, gb_both)
-    assert np.array_equal(gradient(ad.sum_all(ad.matmul(Tensor(a0), b)), [b])[0],
-                          a0.T @ np.ones((5, 2)))
+    dx, *dweights = ad.dense_relu(Tensor(x0), layers).node.back(g)
+    assert dx is None
+    # the adjoints that are computed are the same products, bit for bit
+    dx_both, *dweights_both = ad.dense_relu(Tensor(x0, requires_grad=True),
+                                            layers).node.back(g)
+    assert dx_both.shape == x0.shape
+    assert all(np.array_equal(a, b) for a, b in zip(dweights, dweights_both))
 
 
-def test_matmul_rejects_non_2d():
-    with pytest.raises(DimensionError):
-        ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
-    with pytest.raises(DimensionError):
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+def test_dense_relu_rejects_bad_shapes():
+    w, b = Tensor(np.ones((3, 2))), Tensor(np.ones(2))
+    ad.dense_relu(Tensor(np.ones((4, 3))), [(w, b)])
+    for x, layers in [(np.ones(3), [(w, b)]),                       # 1-D input
+                      (np.ones((4, 2)), [(w, b)]),                  # wrong width
+                      (np.ones((4, 3)), [(w, b), (w, b)]),          # layers do not chain
+                      (np.ones((4, 3)), [])]:                       # no layers
+        with pytest.raises(DimensionError):
+            ad.dense_relu(Tensor(x), layers)
 
 
 def test_add_mul_shapes():
-    with pytest.raises(DimensionError):
-        ad.add_rowvec(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
+    with pytest.raises(DimensionError):  # a bias that does not fit the layer's columns
+        ad.dense_relu(Tensor(np.ones((2, 3))), [(Tensor(np.ones((3, 4))), Tensor(np.ones(3)))])
     with pytest.raises(DimensionError):
         ad.mul(Tensor(np.ones((2, 2))), Tensor(np.ones(2)))
 
@@ -111,33 +133,16 @@ def test_add_mul_scale_against_fd():
     rng = np.random.default_rng(15)
     x0 = rng.standard_normal((3, 2))
     y0 = rng.standard_normal((3, 2))
-    v0 = rng.standard_normal(2)
     w = Tensor(np.arange(1.0, 7.0).reshape(3, 2))
-    check_against_fd(lambda t: ad.sum_all(ad.mul(ad.add_rowvec(t, Tensor(v0)), w)), x0)
     check_against_fd(lambda t: ad.sum_all(ad.mul(t, Tensor(y0))), x0)
     check_against_fd(lambda t: ad.sum_all(ad.mul(ad.mul(t, -2.5), w)), x0)
 
 
-@pytest.mark.parametrize("op", [ad.relu])
-def test_elementwise_against_fd(op):
-    rng = np.random.default_rng(3)
-    # keep values away from relu's kink at 0
-    x0 = rng.standard_normal(10) + np.sign(rng.standard_normal(10)) * 0.1
-    check_against_fd(lambda t: ad.sum_all(ad.mul(op(t), Tensor(np.arange(1.0, 11.0)))), x0)
-
-
 def test_relu_subgradient_zero_at_kink():
-    x = Tensor(np.array([0.0, -1.0, 2.0]), requires_grad=True)
-    (g,) = gradient(ad.sum_all(ad.relu(x)), [x])
-    assert np.array_equal(g, np.array([0.0, 0.0, 1.0]))
-
-
-def test_add_rowvec_against_fd():
-    rng = np.random.default_rng(8)
-    m0 = rng.standard_normal((3, 4))
-    v0 = rng.standard_normal(4)
-    check_against_fd(lambda t: ad.sum_all(ad.add_rowvec(t, Tensor(v0))), m0)
-    check_against_fd(lambda t: ad.sum_all(ad.add_rowvec(Tensor(m0), t)), v0)
+    x = Tensor(np.array([[0.0, -1.0, 2.0]]), requires_grad=True)
+    out = ad.dense_relu(x, [(Tensor(np.eye(3)), Tensor(np.zeros(3)))])
+    (g,) = gradient(ad.sum_all(out), [x])
+    assert np.array_equal(g, np.array([[0.0, 0.0, 1.0]]))
 
 
 def test_scale_and_sum_trivials():
@@ -495,7 +500,7 @@ def test_backward_is_deterministic():
 
     def run():
         x = Tensor(x0, requires_grad=True)
-        y = ad.matmul(x, x)  # x used twice: adjoints must accumulate identically
+        y = ad.mul(ad.mul(x, x), x)  # x used three times: adjoints must accumulate identically
         return gradient(ad.sum_all(ad.mul(y, y)), [x])[0]
 
     a, b = run(), run()

@@ -1,6 +1,8 @@
 """Tests for the checkpoint format: round-trips, byte determinism, and
 corruption detection."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,22 @@ def test_load_rejects_non_finite_temperature(tmp_path, value):
                                   b"meta cfg.temperature " + value + b"\n"))
     with pytest.raises(FedcpcError):
         ck.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", [b"enc_layers", b"ctx_layers", b"future_steps"])
+def test_load_rejects_a_claimed_layer_count_in_time_bounded_by_the_header(tmp_path, key):
+    # the header lists a 1-layer table but claims 3 million layers; building
+    # the claimed table first took seconds, growing with the claim
+    path = tmp_path / "x.ckpt"
+    ck.save_checkpoint(path, cfg(), np.zeros(m.param_count(cfg())))
+    blob = path.read_bytes()
+    line = b"meta cfg." + key + b" "
+    head, _, rest = blob.partition(line)
+    path.write_bytes(head + line + b"3000000" + rest[rest.index(b"\n"):])
+    started = time.perf_counter()
+    with pytest.raises(CheckpointError, match="param table"):
+        ck.load_checkpoint(path)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_config_meta_roundtrip():

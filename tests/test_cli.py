@@ -267,6 +267,29 @@ def test_missing_pcm_file_is_a_one_line_error(corpus_dir, tmp_path, cfg_file, ca
     assert_one_line_error(rc, capsys.readouterr().err, missing)
 
 
+@pytest.mark.parametrize("command", ["pretrain", "probe"])
+def test_zero_sample_synth_spec(corpus_dir, tmp_path, cfg_file, capsys, command):
+    # an empty render is skipped in training like a too-short PCM file, and
+    # the probe, which needs every utterance, reports it in one line
+    records = load_manifest(manifest_of(corpus_dir))
+    records.append(UtteranceRecord("spk000-empty", "spk000", "ch00",
+                                   "synth:v1:temporal:1:0:0:0:0", 0.001))
+    manifest = tmp_path / "manifest.tsv"
+    write_manifest(manifest, records)
+    argv = [command, "--config", str(cfg_file), "--manifest", str(manifest)]
+    capsys.readouterr()
+    if command == "pretrain":
+        out = tmp_path / "run"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        rows = [line.split("\t") for line in (out / "metrics.tsv").read_text().splitlines()
+                if line and not line.startswith("#")]
+        # every utterance is drawn within the two rounds; the empty one is not counted
+        assert sum(int(row[2]) for row in rows) == len(records) - 1
+    else:
+        rc = cli.main(argv + ["--random-init"])
+        assert_one_line_error(rc, capsys.readouterr().err, "0 samples")
+
+
 @pytest.mark.parametrize("command", ["probe", "silo", "gradcheck"])
 def test_out_in_a_missing_directory_is_a_one_line_error(corpus_dir, tmp_path, cfg_file,
                                                        capsys, command):

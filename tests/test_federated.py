@@ -401,14 +401,17 @@ def test_run_federated_deterministic_checkpoints(corpus, tmp_path):
         ma.wall_ms != mb.wall_ms for ma, mb in zip(ra.metrics, rb.metrics))
 
 
-def test_run_federated_parallel_equals_serial(corpus):
+def test_run_federated_parallel_equals_serial(corpus, monkeypatch):
     fed = FedConfig(num_clients=4, clients_per_round=4, client_batch_size=4,
                     rounds_max=2, server_opt="adam", server_lr=1e-3, seed=10)
     serial = run_federated(corpus, fed, SMALL, workers=1)
-    parallel = run_federated(corpus, fed, SMALL, workers=4)
-    assert np.array_equal(serial.weights, parallel.weights)
-    assert [r.mean_client_loss for r in serial.metrics] == \
-           [r.mean_client_loss for r in parallel.metrics]
+    # deterministic mode only zeroes the clocks; the pool runs under it too
+    for mode in ("0", "1"):
+        monkeypatch.setenv("FEDCPC_DETERMINISTIC", mode)
+        parallel = run_federated(corpus, fed, SMALL, workers=4)
+        assert np.array_equal(serial.weights, parallel.weights)
+        assert [r.mean_client_loss for r in serial.metrics] == \
+               [r.mean_client_loss for r in parallel.metrics]
 
 
 def test_deterministic_mode_zeroes_wall_ms(corpus, monkeypatch):
